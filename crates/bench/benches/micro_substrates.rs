@@ -56,6 +56,9 @@ fn bench_cond_sampler(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/conditional_sampler");
     common::tune(&mut group);
     let p = probs(512);
+    // The scatter draw writes into a 1024-position world at every other
+    // position, as the Karp–Luby draw does for an event's mask.
+    let positions: Vec<u32> = (0..512).map(|t| 2 * t).collect();
     // Likely event -> rejection strategy; rare event -> suffix DP.
     for (label, k) in [("rejection", 150usize), ("suffix_dp", 350)] {
         let sampler = ConditionalBernoulliSampler::new(p.clone(), k);
@@ -65,6 +68,14 @@ fn bench_cond_sampler(c: &mut Criterion) {
             b.iter(|| {
                 sampler.sample_into(&mut rng, &mut out);
                 black_box(out.len())
+            })
+        });
+        group.bench_function(format!("{label}_scatter"), |b| {
+            let mut rng = SmallRng::seed_from_u64(5);
+            let mut words = vec![0u64; 1024 / 64];
+            b.iter(|| {
+                sampler.sample_scatter(&mut rng, &positions, &mut words);
+                black_box(words[0])
             })
         });
     }

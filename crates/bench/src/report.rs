@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn csv_file_round_trip() {
-        let dir = std::env::temp_dir().join("pfcim_report_test");
+        let dir = std::env::temp_dir().join(format!("pfcim_report_test_{}", std::process::id()));
         sample().write_csv(&dir, "fig_x").unwrap();
         let content = std::fs::read_to_string(dir.join("fig_x.csv")).unwrap();
         assert!(content.starts_with("min_sup,time"));

@@ -29,7 +29,7 @@
 //! database.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::OnceLock;
 
 use prob::cond_sample::ConditionalBernoulliSampler;
 use prob::dnf::UnionEventSystem;
@@ -45,14 +45,24 @@ struct NcEvent {
     item: Item,
     /// Positions of `T(X∪e)` within `T(X)` (universe `k`).
     mask: TidBitmap,
-    /// Existential probabilities at the mask positions, ascending.
-    mask_probs: Vec<f64>,
     /// `Pr(C_e)`: the absence factor `Π_{p ∉ mask} (1 − probs[p])`
     /// times `Pr{ sup(X∪e) ≥ min_sup }`.
     prob: f64,
 }
 
+/// The conditional sampler of one event plus where its trials land: trial
+/// `t` of the sampler is position `positions[t]` of the world.
+struct EventSampler {
+    sampler: ConditionalBernoulliSampler,
+    /// The event's mask positions, ascending.
+    positions: Vec<u32>,
+}
+
 /// The complete family of non-closure events of one itemset.
+///
+/// The family is `Sync`: its only interior mutability is the write-once
+/// sampler cache, so chunked `ApproxFCP` shares one `&NonClosureEvents`
+/// across its workers.
 pub struct NonClosureEvents {
     /// Existential probabilities of `T(X)`, position-indexed.
     probs: Vec<f64>,
@@ -65,10 +75,10 @@ pub struct NonClosureEvents {
     /// Extension items examined at construction — the paper's
     /// `k = m − |X|`, which sizes the `ApproxFCP` sample budget.
     considered: usize,
-    /// Lazily built conditional samplers, one per event.
-    samplers: RefCell<Vec<Option<Rc<ConditionalBernoulliSampler>>>>,
-    /// Scratch for joint computations.
-    scratch: RefCell<JointScratch>,
+    /// Conditional samplers, one per event, each built on its event's
+    /// first draw: most families are decided by bounds or exactly and
+    /// never sample.
+    samplers: Vec<OnceLock<EventSampler>>,
 }
 
 #[derive(Default)]
@@ -78,27 +88,50 @@ struct JointScratch {
     mask: Option<TidBitmap>,
 }
 
+thread_local! {
+    /// Per-thread scratch of [`NonClosureEvents::joint`], kept out of the
+    /// family so the family stays `Sync`.
+    static JOINT_SCRATCH: RefCell<JointScratch> = RefCell::new(JointScratch::default());
+}
+
+/// Scratch of [`event_for_item`], reused across the items of one build.
+struct BuildScratch {
+    /// Existential probabilities at the current item's mask positions.
+    mask_probs: Vec<f64>,
+    /// Tail-DP row.
+    dp: Vec<f64>,
+    /// `Pr{sup ≥ min_sup}` over *all* positions, shared by every item
+    /// whose tid-set covers `T(X)` entirely (in particular every item of
+    /// `X` itself) — those events differ only in their label.
+    full_tail: Option<f64>,
+}
+
+impl BuildScratch {
+    fn new(min_sup: usize) -> Self {
+        Self {
+            mask_probs: Vec::new(),
+            dp: vec![0.0; min_sup + 1],
+            full_tail: None,
+        }
+    }
+}
+
 /// Shared event constructor: the mask / absence-factor / tail computation
 /// both [`NonClosureEvents::build`] and [`EventTable::build`] run per
 /// item. Returns `None` when `Pr(C_e) = 0`.
-///
-/// `full_tail` caches `Pr{sup ≥ min_sup}` over *all* positions, shared by
-/// every item whose tid-set covers `T(X)` entirely (in particular every
-/// item of `X` itself) — those events differ only in their label.
-#[allow(clippy::too_many_arguments)]
 fn event_for_item(
     db: &UncertainDatabase,
     positions: &[usize],
     probs: &[f64],
     item: Item,
     min_sup: usize,
-    dp_scratch: &mut [f64],
-    full_tail: &mut Option<f64>,
+    scratch: &mut BuildScratch,
 ) -> Option<NcEvent> {
     let k = positions.len();
     let item_tids = db.bitmap_of(item);
     let mut mask = TidBitmap::new(k);
-    let mut mask_probs = Vec::new();
+    let mask_probs = &mut scratch.mask_probs;
+    mask_probs.clear();
     let mut absent_factor = 1.0f64;
     for (pos, &tid) in positions.iter().enumerate() {
         if item_tids.contains(tid) {
@@ -111,21 +144,19 @@ fn event_for_item(
     if mask_probs.len() < min_sup || absent_factor == 0.0 {
         return None; // Pr(C_e) = 0
     }
+    let dp = &mut scratch.dp;
     let tail = if mask_probs.len() == k {
-        *full_tail.get_or_insert_with(|| tail_at_least_with(&mask_probs, min_sup, dp_scratch))
+        *scratch
+            .full_tail
+            .get_or_insert_with(|| tail_at_least_with(mask_probs, min_sup, dp))
     } else {
-        tail_at_least_with(&mask_probs, min_sup, dp_scratch)
+        tail_at_least_with(mask_probs, min_sup, dp)
     };
     let prob = absent_factor * tail;
     if prob <= 0.0 {
         return None;
     }
-    Some(NcEvent {
-        item,
-        mask,
-        mask_probs,
-        prob,
-    })
+    Some(NcEvent { item, mask, prob })
 }
 
 impl NonClosureEvents {
@@ -142,22 +173,13 @@ impl NonClosureEvents {
         let min_sup = min_sup.max(1);
         let positions: Vec<usize> = x_tids.iter().collect();
         let probs: Vec<f64> = positions.iter().map(|&tid| db.probability(tid)).collect();
-        let mut dp_scratch = vec![0.0f64; min_sup + 1];
-        let mut full_tail = None;
-
+        let mut scratch = BuildScratch::new(min_sup);
         let mut events = Vec::new();
         let mut considered = 0usize;
         for item in extension_items {
             considered += 1;
-            if let Some(event) = event_for_item(
-                db,
-                &positions,
-                &probs,
-                item,
-                min_sup,
-                &mut dp_scratch,
-                &mut full_tail,
-            ) {
+            if let Some(event) = event_for_item(db, &positions, &probs, item, min_sup, &mut scratch)
+            {
                 events.push(event);
             }
         }
@@ -175,7 +197,7 @@ impl NonClosureEvents {
         considered: usize,
     ) -> Self {
         let total_mass = events.iter().map(|e| e.prob).sum();
-        let samplers = RefCell::new(vec![None; events.len()]);
+        let samplers = events.iter().map(|_| OnceLock::new()).collect();
         Self {
             probs,
             min_sup,
@@ -183,7 +205,6 @@ impl NonClosureEvents {
             total_mass,
             considered,
             samplers,
-            scratch: RefCell::new(JointScratch::default()),
         }
     }
 
@@ -227,9 +248,7 @@ impl NonClosureEvents {
         match subset {
             [] => 1.0,
             [i] => self.events[*i].prob,
-            [first, rest @ ..] => {
-                let mut scratch = self.scratch.borrow_mut();
-                let scratch = &mut *scratch;
+            [first, rest @ ..] => JOINT_SCRATCH.with_borrow_mut(|scratch| {
                 let mask = scratch
                     .mask
                     .get_or_insert_with(|| self.events[*first].mask.clone());
@@ -253,7 +272,7 @@ impl NonClosureEvents {
                     scratch.dp.resize(self.min_sup + 1, 0.0);
                 }
                 absent_factor * tail_at_least_with(&scratch.probs, self.min_sup, &mut scratch.dp)
-            }
+            }),
         }
     }
 
@@ -328,18 +347,27 @@ impl NonClosureEvents {
         (lower_fc, upper_fc, BoundTier::Refined)
     }
 
-    fn sampler(&self, i: usize) -> Rc<ConditionalBernoulliSampler> {
-        if let Some(s) = &self.samplers.borrow()[i] {
-            return Rc::clone(s);
-        }
-        let event = &self.events[i];
-        let s = Rc::new(ConditionalBernoulliSampler::new(
-            event.mask_probs.clone(),
-            self.min_sup,
-        ));
-        self.samplers.borrow_mut()[i] = Some(Rc::clone(&s));
-        s
+    fn sampler(&self, i: usize) -> &EventSampler {
+        self.samplers[i].get_or_init(|| {
+            let mask = &self.events[i].mask;
+            let mask_probs = mask.iter().map(|pos| self.probs[pos]).collect();
+            EventSampler {
+                sampler: ConditionalBernoulliSampler::new(mask_probs, self.min_sup),
+                positions: mask.iter().map(|pos| pos as u32).collect(),
+            }
+        })
     }
+}
+
+/// Is the world `present` (the words of a set of positions) a subset of
+/// `mask`? Word-wise, stopping at the first word that differs.
+fn within(present: &[u64], mask: &TidBitmap) -> bool {
+    present.iter().zip(mask.words()).all(|(w, m)| w & !m == 0)
+}
+
+/// Number of present positions in a world.
+fn present_count(world: &[u64]) -> usize {
+    world.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// Which tier of [`NonClosureEvents::fcp_bounds_explained`] produced
@@ -386,17 +414,16 @@ impl NonClosureEvents {
         samples: usize,
         rng: &mut R,
     ) -> NaiveSampleEstimate {
-        let k = self.probs.len();
+        let mut present = self.new_world();
         let mut hits = 0usize;
         for _ in 0..samples {
             // Draw the world restricted to T(X).
-            let mut present = TidBitmap::new(k);
+            present.fill(0);
             let mut count = 0usize;
             for (pos, &p) in self.probs.iter().enumerate() {
-                if rng.random::<f64>() < p {
-                    present.insert(pos);
-                    count += 1;
-                }
+                let b = rng.random::<f64>() < p;
+                count += b as usize;
+                present[pos / 64] |= (b as u64) << (pos % 64);
             }
             if count < self.min_sup {
                 continue;
@@ -406,7 +433,7 @@ impl NonClosureEvents {
             let tied = self
                 .events
                 .iter()
-                .any(|event| present.is_subset(&event.mask));
+                .any(|event| within(&present, &event.mask));
             hits += !tied as usize;
         }
         NaiveSampleEstimate {
@@ -417,9 +444,10 @@ impl NonClosureEvents {
 }
 
 impl UnionEventSystem for NonClosureEvents {
-    /// A sampled world, restricted to the positions of `T(X)`: the set of
-    /// *present* positions.
-    type World = TidBitmap;
+    /// A sampled world, restricted to the positions of `T(X)`: the words
+    /// of the set of *present* positions (position `p` at bit `p % 64` of
+    /// word `p / 64`).
+    type World = Vec<u64>;
 
     fn num_events(&self) -> usize {
         self.events.len()
@@ -429,89 +457,30 @@ impl UnionEventSystem for NonClosureEvents {
         self.events[i].prob
     }
 
-    fn sample_world_given(&self, i: usize, rng: &mut dyn Rng) -> TidBitmap {
-        let event = &self.events[i];
-        let sampler = self.sampler(i);
-        let mut draws = Vec::with_capacity(event.mask_probs.len());
-        sampler.sample_into(rng, &mut draws);
-        // Positions outside the mask are forced absent by C_i; map the
-        // conditional draws back onto mask positions.
-        let mut world = TidBitmap::new(self.probs.len());
-        for (draw_idx, pos) in event.mask.iter().enumerate() {
-            if draws[draw_idx] {
-                world.insert(pos);
-            }
-        }
-        world
+    fn new_world(&self) -> Vec<u64> {
+        vec![0; self.probs.len().div_ceil(64)]
     }
 
-    fn world_satisfies(&self, world: &TidBitmap, j: usize) -> bool {
-        let event = &self.events[j];
-        world.is_subset(&event.mask) && world.count() >= self.min_sup
-    }
-}
-
-/// A `Sync` sampling view over a [`NonClosureEvents`] family.
-///
-/// [`NonClosureEvents`] keeps interior-mutable caches (`RefCell`/`Rc`
-/// lazy samplers, joint scratch) and therefore cannot be shared across
-/// the worker threads of chunked `ApproxFCP`. This view borrows the
-/// plain event data and *eagerly* builds one owned
-/// [`ConditionalBernoulliSampler`] per event, so it contains no interior
-/// mutability at all and `&SampleView` crosses threads freely.
-///
-/// Its [`UnionEventSystem`] implementation draws bit-identically to the
-/// parent family given an equal RNG state.
-pub struct SampleView<'a> {
-    events: &'a [NcEvent],
-    samplers: Vec<ConditionalBernoulliSampler>,
-    num_positions: usize,
-    min_sup: usize,
-}
-
-impl NonClosureEvents {
-    /// Build a thread-shareable sampling view (see [`SampleView`]).
-    pub fn sample_view(&self) -> SampleView<'_> {
-        SampleView {
-            events: &self.events,
-            samplers: self
-                .events
-                .iter()
-                .map(|e| ConditionalBernoulliSampler::new(e.mask_probs.clone(), self.min_sup))
-                .collect(),
-            num_positions: self.probs.len(),
-            min_sup: self.min_sup,
-        }
-    }
-}
-
-impl UnionEventSystem for SampleView<'_> {
-    type World = TidBitmap;
-
-    fn num_events(&self) -> usize {
-        self.events.len()
+    fn sample_world_given<R: Rng + ?Sized>(&self, i: usize, rng: &mut R, world: &mut Vec<u64>) {
+        // Positions outside the mask are forced absent by C_i; the
+        // conditional draws land straight on the mask positions.
+        let EventSampler { sampler, positions } = self.sampler(i);
+        sampler.sample_scatter(rng, positions, world);
+        debug_assert!(
+            present_count(world) >= self.min_sup,
+            "a world drawn given C_i holds at least min_sup present positions"
+        );
     }
 
-    fn event_prob(&self, i: usize) -> f64 {
-        self.events[i].prob
-    }
-
-    fn sample_world_given(&self, i: usize, rng: &mut dyn Rng) -> TidBitmap {
-        let event = &self.events[i];
-        let mut draws = Vec::with_capacity(event.mask_probs.len());
-        self.samplers[i].sample_into(rng, &mut draws);
-        let mut world = TidBitmap::new(self.num_positions);
-        for (draw_idx, pos) in event.mask.iter().enumerate() {
-            if draws[draw_idx] {
-                world.insert(pos);
-            }
-        }
-        world
-    }
-
-    fn world_satisfies(&self, world: &TidBitmap, j: usize) -> bool {
-        let event = &self.events[j];
-        world.is_subset(&event.mask) && world.count() >= self.min_sup
+    /// A world drawn given some `C_i` already holds at least `min_sup`
+    /// present positions, so `C_j` reduces to "every present position
+    /// lies in `T(X∪e_j)`".
+    fn world_satisfies(&self, world: &Vec<u64>, j: usize) -> bool {
+        debug_assert!(
+            present_count(world) >= self.min_sup,
+            "world_satisfies needs a world drawn by sample_world_given"
+        );
+        within(world, &self.events[j].mask)
     }
 }
 
@@ -544,20 +513,11 @@ impl EventTable {
         let min_sup = min_sup.max(1);
         let positions: Vec<usize> = tids.iter().collect();
         let probs: Vec<f64> = positions.iter().map(|&tid| db.probability(tid)).collect();
-        let mut dp_scratch = vec![0.0f64; min_sup + 1];
-        let mut full_tail = None;
+        let mut scratch = BuildScratch::new(min_sup);
         let considered = db.num_items();
         let entries = (0..considered as u32)
             .filter_map(|id| {
-                event_for_item(
-                    db,
-                    &positions,
-                    &probs,
-                    Item(id),
-                    min_sup,
-                    &mut dp_scratch,
-                    &mut full_tail,
-                )
+                event_for_item(db, &positions, &probs, Item(id), min_sup, &mut scratch)
             })
             .collect();
         Self {
@@ -799,9 +759,10 @@ mod tests {
         let db = table2();
         let fam = family_for(&db, &items(&db, "d"), 1);
         let mut rng = SmallRng::seed_from_u64(17);
+        let mut w = fam.new_world();
         for i in 0..fam.len() {
             for _ in 0..200 {
-                let w = fam.sample_world_given(i, &mut rng);
+                fam.sample_world_given(i, &mut rng, &mut w);
                 assert!(fam.world_satisfies(&w, i));
             }
         }
@@ -827,25 +788,25 @@ mod tests {
     }
 
     #[test]
-    fn sample_view_is_sync_and_draws_identically_to_the_family() {
+    fn family_is_sync_and_draws_identically_from_every_thread() {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         fn assert_sync<T: Sync>(_: &T) {}
         let db = table2();
         let fam = family_for(&db, &items(&db, "d"), 1);
-        let view = fam.sample_view();
-        assert_sync(&view);
-        assert_eq!(view.num_events(), fam.len());
-        for i in 0..fam.len() {
-            assert_eq!(view.event_prob(i), fam.event_prob(i));
+        assert_sync(&fam);
+        // Equal RNG state ⇒ bit-identical Karp–Luby estimates, whichever
+        // thread built the lazy samplers.
+        let estimate = |f: &NonClosureEvents| {
+            prob::karp_luby_union_with_samples(f, 5_000, &mut SmallRng::seed_from_u64(99))
+        };
+        let there = std::thread::scope(|s| s.spawn(|| estimate(&fam)).join().unwrap());
+        let here = estimate(&fam);
+        let fresh = estimate(&family_for(&db, &items(&db, "d"), 1));
+        for other in [here, fresh] {
+            assert_eq!(there.estimate.to_bits(), other.estimate.to_bits());
+            assert_eq!(there.samples, other.samples);
         }
-        // Equal RNG state ⇒ bit-identical Karp–Luby estimates.
-        let mut rng_a = SmallRng::seed_from_u64(99);
-        let mut rng_b = SmallRng::seed_from_u64(99);
-        let a = prob::karp_luby_union_with_samples(&fam, 5_000, &mut rng_a);
-        let b = prob::karp_luby_union_with_samples(&view, 5_000, &mut rng_b);
-        assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
-        assert_eq!(a.samples, b.samples);
     }
 
     #[test]

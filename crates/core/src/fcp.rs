@@ -126,10 +126,9 @@ pub fn approx_fcp_chunked(
         .into_iter()
         .map(|c| (c, seed_rng.next_u64()))
         .collect();
-    let view = events.sample_view();
     let estimates = par::scatter(threads, tasks, |_, (chunk, seed)| {
         let mut rng = SmallRng::seed_from_u64(seed);
-        karp_luby_union_with_samples(&view, chunk, &mut rng)
+        karp_luby_union_with_samples(events, chunk, &mut rng)
     });
     let total: usize = estimates.iter().map(|e| e.samples).sum();
     let weighted: f64 = estimates

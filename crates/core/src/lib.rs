@@ -90,7 +90,7 @@ pub use config::{
     default_event_cache_capacity, FcpMethod, MinerConfig, PruningConfig, SearchStrategy, Variant,
     DEFAULT_EVENT_CACHE_CAPACITY,
 };
-pub use events::{BoundTier, EventTable, NonClosureEvents, SampleView};
+pub use events::{BoundTier, EventTable, NonClosureEvents};
 pub use exact::{exact_fcp_by_worlds, exact_fcp_inclusion_exclusion, exact_pfci_set};
 pub use fcp::{
     approx_fcp, approx_fcp_adaptive, approx_fcp_adaptive_traced, approx_fcp_chunked,

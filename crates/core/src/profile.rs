@@ -494,13 +494,21 @@ mod tests {
 
     #[test]
     fn sampling_records_a_subset_of_nodes() {
+        // One worker: each parallel shard samples its own every-N-th node,
+        // so the exact `nodes / N` count below holds for a single shard.
         let db = table4();
         let mut full = SpanProfiler::new();
-        let out_full = Miner::new(&db).min_sup(2).pfct(0.8).sink(&mut full).run();
+        let out_full = Miner::new(&db)
+            .min_sup(2)
+            .pfct(0.8)
+            .threads(1)
+            .sink(&mut full)
+            .run();
         let mut sampled = SpanProfiler::new().with_sampling(4);
         let out_sampled = Miner::new(&db)
             .min_sup(2)
             .pfct(0.8)
+            .threads(1)
             .sink(&mut sampled)
             .run();
         assert_eq!(out_full.itemsets(), out_sampled.itemsets());

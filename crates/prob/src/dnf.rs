@@ -27,10 +27,16 @@ pub trait UnionEventSystem {
     /// Exact `Pr(A_i)`.
     fn event_prob(&self, i: usize) -> f64;
 
-    /// Sample a world with law `Pr(· | A_i)`.
-    fn sample_world_given(&self, i: usize, rng: &mut dyn Rng) -> Self::World;
+    /// A world buffer for [`UnionEventSystem::sample_world_given`] to
+    /// fill. The estimators allocate one per call and reuse it for every
+    /// draw.
+    fn new_world(&self) -> Self::World;
 
-    /// Does `world` satisfy event `j`?
+    /// Overwrite `world` with a sample of law `Pr(· | A_i)`.
+    fn sample_world_given<R: Rng + ?Sized>(&self, i: usize, rng: &mut R, world: &mut Self::World);
+
+    /// Does `world`, as filled by
+    /// [`UnionEventSystem::sample_world_given`], satisfy event `j`?
     fn world_satisfies(&self, world: &Self::World, j: usize) -> bool;
 }
 
@@ -85,42 +91,18 @@ where
     S: UnionEventSystem,
     R: Rng,
 {
-    let m = system.num_events();
-    // Cumulative singleton mass for event selection.
-    let mut cumulative = Vec::with_capacity(m);
-    let mut z = 0.0f64;
-    for i in 0..m {
-        let p = system.event_prob(i);
-        debug_assert!((0.0..=1.0 + crate::PROB_EPS).contains(&p));
-        z += p;
-        cumulative.push(z);
-    }
-    if m == 0 || z <= 0.0 {
+    let (cumulative, z) = cumulative_mass(system);
+    if z <= 0.0 {
         return KarpLubyEstimate {
             estimate: 0.0,
             samples: 0,
             total_mass: 0.0,
         };
     }
+    let mut world = system.new_world();
     let mut hits = 0usize;
     for _ in 0..samples {
-        let u = rng.random::<f64>() * z;
-        let i = match cumulative.binary_search_by(|c| c.total_cmp(&u)) {
-            Ok(idx) => idx + 1,
-            Err(idx) => idx,
-        }
-        .min(m - 1);
-        // Skip zero-probability events the search may land on.
-        if system.event_prob(i) == 0.0 {
-            continue;
-        }
-        let world = system.sample_world_given(i, rng);
-        debug_assert!(
-            system.world_satisfies(&world, i),
-            "conditional sample must satisfy its own event"
-        );
-        let canonical = (0..i).all(|j| !system.world_satisfies(&world, j));
-        hits += canonical as usize;
+        hits += coverage_draw(system, &cumulative, z, &mut world, rng) as usize;
     }
     let estimate = crate::clamp_prob(z * hits as f64 / samples.max(1) as f64).min(z);
     KarpLubyEstimate {
@@ -128,6 +110,55 @@ where
         samples,
         total_mass: z,
     }
+}
+
+/// Running singleton masses `Pr(A_0) + … + Pr(A_i)` for the event pick,
+/// and their total `Z` (zero for an empty family).
+fn cumulative_mass<S: UnionEventSystem>(system: &S) -> (Vec<f64>, f64) {
+    let mut z = 0.0f64;
+    let cumulative = (0..system.num_events())
+        .map(|i| {
+            let p = system.event_prob(i);
+            debug_assert!((0.0..=1.0 + crate::PROB_EPS).contains(&p));
+            z += p;
+            z
+        })
+        .collect();
+    (cumulative, z)
+}
+
+/// One coverage draw, shared by the fixed-budget and stopping-rule loops:
+/// pick event `i` with probability `Pr(A_i)/Z`, fill `world` with
+/// `ω ~ Pr(· | A_i)`, and score `true` iff `i` is the *first* event
+/// containing `ω`. A pick that lands on a zero-probability event (the
+/// search can, on ties of the cumulative mass) scores `false` without
+/// drawing a world.
+fn coverage_draw<S, R>(
+    system: &S,
+    cumulative: &[f64],
+    z: f64,
+    world: &mut S::World,
+    rng: &mut R,
+) -> bool
+where
+    S: UnionEventSystem,
+    R: Rng + ?Sized,
+{
+    let u = rng.random::<f64>() * z;
+    let i = match cumulative.binary_search_by(|c| c.total_cmp(&u)) {
+        Ok(idx) => idx + 1,
+        Err(idx) => idx,
+    }
+    .min(cumulative.len() - 1);
+    if system.event_prob(i) == 0.0 {
+        return false;
+    }
+    system.sample_world_given(i, rng, world);
+    debug_assert!(
+        system.world_satisfies(world, i),
+        "conditional sample must satisfy its own event"
+    );
+    (0..i).all(|j| !system.world_satisfies(world, j))
 }
 
 /// Outcome of the adaptive (stopping-rule) estimator.
@@ -170,15 +201,8 @@ where
 {
     assert!(epsilon > 0.0, "epsilon must be positive");
     assert!((0.0..1.0).contains(&delta) && delta > 0.0, "delta in (0,1)");
-    let m = system.num_events();
-    let mut cumulative = Vec::with_capacity(m);
-    let mut z = 0.0f64;
-    for i in 0..m {
-        let p = system.event_prob(i);
-        z += p;
-        cumulative.push(z);
-    }
-    if m == 0 || z <= 0.0 {
+    let (cumulative, z) = cumulative_mass(system);
+    if z <= 0.0 {
         return AdaptiveEstimate {
             estimate: 0.0,
             samples: 0,
@@ -189,22 +213,12 @@ where
     let upsilon = 1.0
         + 4.0 * (std::f64::consts::E - 2.0) * (1.0 + epsilon) * (2.0 / delta).ln()
             / (epsilon * epsilon);
+    let mut world = system.new_world();
     let mut hits = 0usize;
     let mut drawn = 0usize;
     while (hits as f64) < upsilon && drawn < max_samples {
         drawn += 1;
-        let u = rng.random::<f64>() * z;
-        let i = match cumulative.binary_search_by(|c| c.total_cmp(&u)) {
-            Ok(idx) => idx + 1,
-            Err(idx) => idx,
-        }
-        .min(m - 1);
-        if system.event_prob(i) == 0.0 {
-            continue;
-        }
-        let world = system.sample_world_given(i, rng);
-        let canonical = (0..i).all(|j| !system.world_satisfies(&world, j));
-        hits += canonical as usize;
+        hits += coverage_draw(system, &cumulative, z, &mut world, rng) as usize;
     }
     let converged = (hits as f64) >= upsilon;
     let ratio = if converged {
@@ -243,12 +257,19 @@ mod tests {
             self.probs[i]
         }
 
-        fn sample_world_given(&self, i: usize, rng: &mut dyn Rng) -> Vec<bool> {
-            self.probs
-                .iter()
-                .enumerate()
-                .map(|(j, &p)| j == i || rng.random::<f64>() < p)
-                .collect()
+        fn new_world(&self) -> Vec<bool> {
+            vec![false; self.probs.len()]
+        }
+
+        fn sample_world_given<R: Rng + ?Sized>(
+            &self,
+            i: usize,
+            rng: &mut R,
+            world: &mut Vec<bool>,
+        ) {
+            for (j, (w, &p)) in world.iter_mut().zip(&self.probs).enumerate() {
+                *w = j == i || rng.random::<f64>() < p;
+            }
         }
 
         fn world_satisfies(&self, world: &Vec<bool>, j: usize) -> bool {
@@ -274,8 +295,12 @@ mod tests {
             self.p
         }
 
-        fn sample_world_given(&self, _i: usize, _rng: &mut dyn Rng) -> bool {
-            true
+        fn new_world(&self) -> bool {
+            false
+        }
+
+        fn sample_world_given<R: Rng + ?Sized>(&self, _i: usize, _rng: &mut R, world: &mut bool) {
+            *world = true;
         }
 
         fn world_satisfies(&self, world: &bool, _j: usize) -> bool {

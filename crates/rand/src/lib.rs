@@ -218,6 +218,7 @@ pub mod rngs {
     }
 
     impl Rng for SmallRng {
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
             let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);

@@ -162,7 +162,7 @@ mod tests {
     fn file_round_trip() {
         let db = parse_dat("1 2 : 0.5\n2 3 : 0.75\n").unwrap();
         let dir = std::env::temp_dir();
-        let path = dir.join("utdb_io_roundtrip_test.dat");
+        let path = dir.join(format!("utdb_io_roundtrip_test_{}.dat", std::process::id()));
         write_dat(&db, &path).unwrap();
         let back = read_dat(&path).unwrap();
         assert_eq!(back.len(), 2);

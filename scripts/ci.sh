@@ -23,6 +23,11 @@ run env PFCIM_TEST_THREADS=1,4 cargo test --workspace -q
 run env PFCIM_SWEEP_ROWS=200 cargo test --release -q -p pfcim --test dp_tol_sweep
 run cargo test -p pfcim-core --features track-alloc -q
 run cargo check --benches --workspace
+# Benchmark self-test: perfbench/ is a package of its own that reaches
+# the program only through its public crates, so an API change it relies
+# on (approx_fcp, EventTable, ...) fails here, not at the next benchmark
+# run. Every workload runs at reduced size and must pass its gates.
+run cargo test --release --manifest-path perfbench/Cargo.toml
 # Rustdoc must build clean: broken intra-doc links and malformed
 # examples are errors, not warnings.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -1,14 +1,18 @@
 //! End-to-end tests of the `pfcim` command-line binary.
 
+mod common;
+
 use std::io::Write;
 use std::process::Command;
+
+use common::TempPath;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pfcim"))
 }
 
-fn write_running_example() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("pfcim_cli_test_{}.dat", std::process::id()));
+fn write_running_example() -> TempPath {
+    let path = TempPath::new("running_example", "dat");
     let mut f = std::fs::File::create(&path).unwrap();
     writeln!(f, "1 2 3 4 : 0.9").unwrap();
     writeln!(f, "1 2 3 : 0.6").unwrap();
@@ -21,7 +25,7 @@ fn write_running_example() -> std::path::PathBuf {
 fn mines_the_running_example() {
     let path = write_running_example();
     let out = bin()
-        .args([path.to_str().unwrap(), "--min-sup", "2", "--pfct", "0.8"])
+        .args([path.arg(), "--min-sup", "2", "--pfct", "0.8"])
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "{out:?}");
@@ -30,7 +34,6 @@ fn mines_the_running_example() {
     assert_eq!(lines.len(), 2, "{stdout}");
     assert!(lines[0].starts_with("1 2 3 :"), "{stdout}");
     assert!(lines[1].starts_with("1 2 3 4 :"), "{stdout}");
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -40,7 +43,7 @@ fn percentage_min_sup_and_variants_agree() {
     for variant in ["mpfci", "bfs", "naive"] {
         let out = bin()
             .args([
-                path.to_str().unwrap(),
+                path.arg(),
                 "--min-sup",
                 "50%",
                 "--variant",
@@ -62,34 +65,31 @@ fn percentage_min_sup_and_variants_agree() {
     }
     assert_eq!(outputs[0], outputs[1], "bfs disagrees with mpfci");
     assert_eq!(outputs[0], outputs[2], "naive disagrees with mpfci");
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn stats_flag_reports_counters() {
     let path = write_running_example();
     let out = bin()
-        .args([path.to_str().unwrap(), "--min-sup", "2", "--stats"])
+        .args([path.arg(), "--min-sup", "2", "--stats"])
         .output()
         .unwrap();
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("nodes="), "{stderr}");
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn metrics_flag_writes_registry_snapshot() {
     let path = write_running_example();
-    let metrics =
-        std::env::temp_dir().join(format!("pfcim_cli_metrics_{}.json", std::process::id()));
+    let metrics = TempPath::new("metrics", "json");
     let out = bin()
         .args([
-            path.to_str().unwrap(),
+            path.arg(),
             "--min-sup",
             "2",
             "--stats",
             "--metrics",
-            metrics.to_str().unwrap(),
+            metrics.arg(),
         ])
         .output()
         .unwrap();
@@ -107,8 +107,6 @@ fn metrics_flag_writes_registry_snapshot() {
     // added alongside the hit rate now leads the object.
     assert!(json.contains("\"elapsed_s\":"), "{json}");
     assert!(json.contains("\"event_cache_capacity\":"), "{json}");
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&metrics).ok();
 }
 
 #[test]
@@ -122,20 +120,13 @@ fn bad_usage_exits_nonzero() {
     assert_eq!(out.status.code(), Some(1));
     let path = write_running_example();
     let out = bin()
-        .args([path.to_str().unwrap(), "--min-sup", "150%"])
+        .args([path.arg(), "--min-sup", "150%"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     let out = bin()
-        .args([
-            path.to_str().unwrap(),
-            "--min-sup",
-            "2",
-            "--variant",
-            "quantum",
-        ])
+        .args([path.arg(), "--min-sup", "2", "--variant", "quantum"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
-    std::fs::remove_file(&path).ok();
 }

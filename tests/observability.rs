@@ -3,6 +3,9 @@
 //! observation must not perturb mining, and JSONL traces must survive a
 //! round trip through a real file.
 
+mod common;
+
+use common::TempPath;
 use pfcim::core::{
     parse_jsonl, Algorithm, CountingSink, HistogramSink, JsonlSink, Miner, MinerConfig,
     MiningOutcome, NullSink, Phase, RecordingSink, SearchStrategy, ShardableSink, TraceEvent,
@@ -257,7 +260,7 @@ fn jsonl_trace_round_trips_through_a_file() {
     // Stream DFS and BFS runs into one JSONL file, read it back, and
     // check the parsed events reconcile with both runs' summed stats.
     let db = table2();
-    let path = std::env::temp_dir().join("pfcim_observability_trace.jsonl");
+    let path = TempPath::new("observability_trace", "jsonl");
     let mut sink = JsonlSink::create(&path).expect("create trace file");
     let dfs = mine_dfs_with(&db, &config(), &mut sink);
     let bfs = mine_bfs_with(&db, &bfs_config(), &mut sink);
@@ -288,6 +291,4 @@ fn jsonl_trace_round_trips_through_a_file() {
         })
         .collect();
     assert_eq!(algos, ["dfs", "bfs"]);
-
-    std::fs::remove_file(&path).ok();
 }
