@@ -31,7 +31,7 @@
 //! construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use utdb::TidBitmap;
 
@@ -107,16 +107,18 @@ impl SharedEventCache {
 
     /// Lock a shard, counting the acquisition as contended when a
     /// `try_lock` probe finds the mutex already held.
-    fn lock_counted<'s>(&self, shard: &'s Mutex<Shard>) -> std::sync::MutexGuard<'s, Shard> {
+    ///
+    /// A shard poisoned by a panicking holder is still consistent: every
+    /// mutation is one `Vec` insert, remove or pop of an immutable
+    /// `Arc<EventTable>`. So the guard is recovered, never unwrapped.
+    fn lock_counted<'s>(&self, shard: &'s Mutex<Shard>) -> MutexGuard<'s, Shard> {
         match shard.try_lock() {
             Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
+            Err(TryLockError::WouldBlock) => {
                 self.contended.fetch_add(1, Ordering::Relaxed);
-                shard.lock().expect("cache shard poisoned")
+                shard.lock().unwrap_or_else(PoisonError::into_inner)
             }
-            Err(std::sync::TryLockError::Poisoned(_)) => {
-                panic!("cache shard poisoned")
-            }
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
         }
     }
 
@@ -167,7 +169,12 @@ impl SharedEventCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").entries.len())
+            .map(|s| {
+                s.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .entries
+                    .len()
+            })
             .sum()
     }
 
@@ -382,5 +389,31 @@ mod tests {
             assert!(h.join().unwrap());
         }
         assert_eq!(cache.hits(), 4);
+    }
+
+    #[test]
+    fn a_poisoned_shard_keeps_serving() {
+        let db = db();
+        let cache = Arc::new(SharedEventCache::new(8));
+        let (fp_a, table_a) = table_for(&db, 0, 2);
+        let (fp_d, table_d) = table_for(&db, 3, 2);
+        let (tids_a, tids_d) = (table_a.tids().clone(), table_d.tids().clone());
+        cache.insert(fp_a, table_a);
+        let poisoner = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                let _guard = cache.shards[0].lock().unwrap();
+                panic!("a query panics while holding the shard");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(cache.shards[0].is_poisoned());
+
+        assert!(cache.get(fp_a, &tids_a, 2).is_some());
+        assert!(cache.get(fp_d, &tids_d, 2).is_none());
+        cache.insert(fp_d, table_d);
+        assert!(cache.get(fp_d, &tids_d, 2).is_some());
+        assert_eq!(cache.len(), 2);
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
     }
 }

@@ -18,6 +18,13 @@
 //! legacy per-run MRU); a [`crate::snapshot::Snapshot`] hands every
 //! query the same `Arc`, so concurrent queries reuse each other's
 //! tables.
+//!
+//! Below the table cache sits a private [`TailMemo`]: a table build for a
+//! new tid-set still shares every frequentness tail `Pr{sup(X∪e) ≥
+//! min_sup}` an earlier build of the run computed for the same `T(X∪e)`.
+//! The memo is per evaluator (one per parallel worker, so lock-free) and
+//! dies with the run, since `min_sup` and the database change between
+//! serve queries and stream steps. Capacity `0` turns both off.
 
 use std::sync::Arc;
 
@@ -27,7 +34,7 @@ use utdb::{Item, TidBitmap, UncertainDatabase};
 
 use crate::cache::SharedEventCache;
 use crate::config::{FcpMethod, MinerConfig};
-use crate::events::{BoundTier, EventTable, NonClosureEvents};
+use crate::events::{BoundTier, EventTable, NonClosureEvents, TailMemo};
 use crate::fcp::{approx_fcp_adaptive_traced, approx_fcp_chunked_traced, approx_fcp_traced};
 use crate::result::Pfci;
 use crate::stats::{DpAudit, KernelStats, MinerStats, PhaseTimers};
@@ -56,6 +63,7 @@ pub(crate) struct Evaluator<'a, S: MinerSink + ?Sized> {
     /// sampled path byte-identical to the legacy shared-RNG code.
     threads: usize,
     cache: Arc<SharedEventCache>,
+    tail_memo: TailMemo,
 }
 
 impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
@@ -82,6 +90,7 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
             threads: cfg.effective_threads(),
             cache: cache
                 .unwrap_or_else(|| Arc::new(SharedEventCache::new(cfg.event_cache_capacity))),
+            tail_memo: TailMemo::new(db, cfg.min_sup),
         }
     }
 
@@ -96,6 +105,7 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
         let min_sup = self.cfg.min_sup;
         let num_items = db.num_items() as u32;
         let cache = &self.cache;
+        let tail_memo = &mut self.tail_memo;
         let kernel = &mut self.kernel;
         timed(Phase::EventBuild, &mut self.timers, &mut *self.sink, || {
             if cache.capacity() == 0 {
@@ -110,7 +120,7 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
                 return table.family_excluding(items);
             }
             kernel.bound_cache_misses += 1;
-            let table = Arc::new(EventTable::build(db, tids, min_sup));
+            let table = Arc::new(EventTable::build_memoized(db, tids, tail_memo));
             cache.insert(fingerprint, Arc::clone(&table));
             table.family_excluding(items)
         })

@@ -29,6 +29,7 @@
 //! database.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use prob::cond_sample::ConditionalBernoulliSampler;
@@ -96,40 +97,159 @@ thread_local! {
 
 /// Scratch of [`event_for_item`], reused across the items of one build.
 struct BuildScratch {
+    /// `T(X∪e) = T(X) ∧ T(e)` of the current item, over the database's
+    /// tids: the screen's popcount and the tail memo's key.
+    xe_tids: TidBitmap,
     /// Existential probabilities at the current item's mask positions.
     mask_probs: Vec<f64>,
     /// Tail-DP row.
     dp: Vec<f64>,
-    /// `Pr{sup ≥ min_sup}` over *all* positions, shared by every item
-    /// whose tid-set covers `T(X)` entirely (in particular every item of
-    /// `X` itself) — those events differ only in their label.
-    full_tail: Option<f64>,
+    /// Where this build's `T(X)` sits in the memo's arena, once an entry
+    /// computed under it has been stored.
+    x_slot: Option<u32>,
 }
 
 impl BuildScratch {
     fn new(min_sup: usize) -> Self {
         Self {
+            xe_tids: TidBitmap::new(0),
             mask_probs: Vec::new(),
             dp: vec![0.0; min_sup + 1],
-            full_tail: None,
+            x_slot: None,
         }
+    }
+}
+
+/// A memo of frequentness tails `Pr{sup(X∪e) ≥ min_sup}`, keyed by the
+/// tid-set `T(X∪e)`.
+///
+/// The tail factor of `Pr(C_e)` depends on nothing but the tuples of
+/// `T(X∪e)` and `min_sup`, and the same tid-set recurs across the nodes
+/// of one mine (every node listing `e` over the same supporting tuples)
+/// and across the items of one build (every item covering `T(X)`
+/// entirely, the items of `X` among them). The memo computes each tail
+/// once. It is valid for one database and one `min_sup`, so it lives no
+/// longer than the run that owns it.
+///
+/// Keys are stored compactly: a fingerprint of `T(X∪e)` maps to the slot
+/// of `T(X)` in a flat word arena (one slot per build), the item `e` and
+/// the tail. Every fingerprint match is verified by recomputing
+/// `T(X) ∧ T(e)` word-wise against the key; a collision falls back to a
+/// fresh DP and is not stored. A hit returns the very float the DP
+/// returned for the same ascending-tid probability slice, so memoized
+/// and fresh tails are bit-identical.
+pub(crate) struct TailMemo {
+    min_sup: usize,
+    /// Words of one tid-set (fixed by the database).
+    words_per_set: usize,
+    /// The `T(X)` of every build that stored an entry, back to back.
+    arena: Vec<u64>,
+    index: HashMap<u64, TailEntry>,
+    /// Footprint past which the memo starts over.
+    max_bytes: usize,
+}
+
+#[derive(Clone, Copy)]
+struct TailEntry {
+    /// Slot of `T(X)` in the arena.
+    slot: u32,
+    /// With `T(X)`, rebuilds the key `T(X) ∧ T(item)`.
+    item: Item,
+    tail: f64,
+}
+
+/// Memo footprint (arena words plus index entries, in bytes) past which
+/// the memo starts over, so a long run on a large database stays bounded.
+const TAIL_MEMO_MAX_BYTES: usize = 64 << 20;
+
+impl TailMemo {
+    /// An empty memo for tails at `min_sup` over the tids of `db`.
+    pub(crate) fn new(db: &UncertainDatabase, min_sup: usize) -> Self {
+        Self {
+            min_sup: min_sup.max(1),
+            words_per_set: db.len().div_ceil(64),
+            arena: Vec::new(),
+            index: HashMap::new(),
+            max_bytes: TAIL_MEMO_MAX_BYTES,
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.arena.len() * size_of::<u64>() + self.index.len() * size_of::<(u64, TailEntry)>()
+    }
+
+    /// Is `xe_tids` the key `entry` was stored under?
+    fn verify(&self, db: &UncertainDatabase, entry: &TailEntry, xe_tids: &TidBitmap) -> bool {
+        let start = entry.slot as usize * self.words_per_set;
+        let x_words = &self.arena[start..start + self.words_per_set];
+        let e_words = db.bitmap_of(entry.item).words();
+        x_words
+            .iter()
+            .zip(e_words)
+            .zip(xe_tids.words())
+            .all(|((x, e), xe)| x & e == *xe)
+    }
+
+    /// The tail for `xe_tids = T(X) ∧ T(item)`: memoized, or computed by
+    /// `fresh` and stored under `x_tids`'s slot (registered on first use
+    /// through `x_slot`).
+    fn tail(
+        &mut self,
+        db: &UncertainDatabase,
+        x_tids: &TidBitmap,
+        x_slot: &mut Option<u32>,
+        item: Item,
+        xe_tids: &TidBitmap,
+        fresh: impl FnOnce() -> f64,
+    ) -> f64 {
+        debug_assert_eq!(xe_tids.word_len(), self.words_per_set);
+        let fingerprint = xe_tids.fingerprint();
+        if let Some(entry) = self.index.get(&fingerprint) {
+            return if self.verify(db, entry, xe_tids) {
+                entry.tail
+            } else {
+                fresh()
+            };
+        }
+        let tail = fresh();
+        let growth = self.words_per_set * size_of::<u64>() + size_of::<(u64, TailEntry)>();
+        if self.bytes() + growth > self.max_bytes {
+            self.arena.clear();
+            self.index.clear();
+            *x_slot = None;
+        }
+        let slot = *x_slot.get_or_insert_with(|| {
+            self.arena.extend_from_slice(x_tids.words());
+            (self.arena.len() / self.words_per_set - 1) as u32
+        });
+        self.index
+            .insert(fingerprint, TailEntry { slot, item, tail });
+        tail
     }
 }
 
 /// Shared event constructor: the mask / absence-factor / tail computation
 /// both [`NonClosureEvents::build`] and [`EventTable::build`] run per
 /// item. Returns `None` when `Pr(C_e) = 0`.
+///
+/// A word-level screen comes first: `|T(X) ∧ T(e)| < min_sup` makes the
+/// tail 0, so such items never reach the per-position scan.
 fn event_for_item(
     db: &UncertainDatabase,
+    x_tids: &TidBitmap,
     positions: &[usize],
     probs: &[f64],
     item: Item,
-    min_sup: usize,
     scratch: &mut BuildScratch,
+    memo: &mut TailMemo,
 ) -> Option<NcEvent> {
-    let k = positions.len();
+    let min_sup = memo.min_sup;
     let item_tids = db.bitmap_of(item);
-    let mut mask = TidBitmap::new(k);
+    x_tids.and_into(item_tids, &mut scratch.xe_tids);
+    if scratch.xe_tids.count() < min_sup {
+        return None; // Pr{sup(X∪e) ≥ min_sup} = 0
+    }
+    let mut mask = TidBitmap::new(positions.len());
     let mask_probs = &mut scratch.mask_probs;
     mask_probs.clear();
     let mut absent_factor = 1.0f64;
@@ -141,17 +261,18 @@ fn event_for_item(
             absent_factor *= 1.0 - probs[pos];
         }
     }
-    if mask_probs.len() < min_sup || absent_factor == 0.0 {
+    if absent_factor == 0.0 {
         return None; // Pr(C_e) = 0
     }
     let dp = &mut scratch.dp;
-    let tail = if mask_probs.len() == k {
-        *scratch
-            .full_tail
-            .get_or_insert_with(|| tail_at_least_with(mask_probs, min_sup, dp))
-    } else {
-        tail_at_least_with(mask_probs, min_sup, dp)
-    };
+    let tail = memo.tail(
+        db,
+        x_tids,
+        &mut scratch.x_slot,
+        item,
+        &scratch.xe_tids,
+        || tail_at_least_with(mask_probs, min_sup, dp),
+    );
     let prob = absent_factor * tail;
     if prob <= 0.0 {
         return None;
@@ -170,7 +291,8 @@ impl NonClosureEvents {
         extension_items: impl IntoIterator<Item = Item>,
         min_sup: usize,
     ) -> Self {
-        let min_sup = min_sup.max(1);
+        let mut memo = TailMemo::new(db, min_sup);
+        let min_sup = memo.min_sup;
         let positions: Vec<usize> = x_tids.iter().collect();
         let probs: Vec<f64> = positions.iter().map(|&tid| db.probability(tid)).collect();
         let mut scratch = BuildScratch::new(min_sup);
@@ -178,8 +300,15 @@ impl NonClosureEvents {
         let mut considered = 0usize;
         for item in extension_items {
             considered += 1;
-            if let Some(event) = event_for_item(db, &positions, &probs, item, min_sup, &mut scratch)
-            {
+            if let Some(event) = event_for_item(
+                db,
+                x_tids,
+                &positions,
+                &probs,
+                item,
+                &mut scratch,
+                &mut memo,
+            ) {
                 events.push(event);
             }
         }
@@ -510,14 +639,24 @@ pub struct EventTable {
 impl EventTable {
     /// Build the all-items event table for the supporting tuples `tids`.
     pub fn build(db: &UncertainDatabase, tids: &TidBitmap, min_sup: usize) -> Self {
-        let min_sup = min_sup.max(1);
+        Self::build_memoized(db, tids, &mut TailMemo::new(db, min_sup))
+    }
+
+    /// [`EventTable::build`] at the memo's `min_sup`, taking each tail from
+    /// the run's [`TailMemo`] when an earlier build already computed it.
+    pub(crate) fn build_memoized(
+        db: &UncertainDatabase,
+        tids: &TidBitmap,
+        memo: &mut TailMemo,
+    ) -> Self {
+        let min_sup = memo.min_sup;
         let positions: Vec<usize> = tids.iter().collect();
         let probs: Vec<f64> = positions.iter().map(|&tid| db.probability(tid)).collect();
         let mut scratch = BuildScratch::new(min_sup);
         let considered = db.num_items();
         let entries = (0..considered as u32)
             .filter_map(|id| {
-                event_for_item(db, &positions, &probs, Item(id), min_sup, &mut scratch)
+                event_for_item(db, tids, &positions, &probs, Item(id), &mut scratch, memo)
             })
             .collect();
         Self {
@@ -564,9 +703,53 @@ impl EventTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use utdb::PossibleWorlds;
+
+    /// A dense generated database: 240 Quest rows, ~8 of 16 items each,
+    /// Gaussian probabilities around 0.8. Tid-sets of `X ∪ e` repeat
+    /// across itemsets, which is what the tail memo exploits.
+    pub(crate) fn dense_db() -> UncertainDatabase {
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        let quest = utdb::gen::QuestConfig {
+            avg_transaction_len: 8.0,
+            avg_pattern_len: 4.0,
+            num_items: 16,
+            num_patterns: 20,
+            ..utdb::gen::QuestConfig::t20i10_p40(240)
+        };
+        let mut rng = SmallRng::seed_from_u64(41);
+        utdb::assign_gaussian_probabilities(&quest.generate(&mut rng), 0.8, 0.1, &mut rng)
+    }
+
+    /// Every itemset of 1 to 3 items, in lexicographic order.
+    fn small_itemsets(num_items: u32) -> Vec<Vec<Item>> {
+        let mut out = Vec::new();
+        for a in 0..num_items {
+            out.push(vec![Item(a)]);
+            for b in a + 1..num_items {
+                out.push(vec![Item(a), Item(b)]);
+                for c in b + 1..num_items {
+                    out.push(vec![Item(a), Item(b), Item(c)]);
+                }
+            }
+        }
+        out
+    }
+
+    /// Same items, masks and `Pr(C_e)` bits, event for event.
+    fn assert_same_events(a: &NonClosureEvents, b: &NonClosureEvents, what: &str) {
+        assert_eq!(a.considered_items(), b.considered_items(), "{what}");
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (x, y) in a.events.iter().zip(&b.events) {
+            assert_eq!(x.item, y.item, "{what}");
+            assert_eq!(x.mask, y.mask, "{what} item {}", x.item);
+            assert_eq!(x.prob.to_bits(), y.prob.to_bits(), "{what} item {}", x.item);
+        }
+        assert_eq!(a.total_mass().to_bits(), b.total_mass().to_bits(), "{what}");
+    }
 
     fn table2() -> UncertainDatabase {
         UncertainDatabase::parse_symbolic(&[
@@ -891,5 +1074,89 @@ mod tests {
                 est.estimate
             );
         }
+    }
+
+    #[test]
+    fn tail_memo_is_bit_identical_to_direct_builds_in_any_order() {
+        let db = dense_db();
+        let min_sup = 48; // 20% of the rows
+        let itemsets = small_itemsets(db.num_items() as u32);
+        // Forward, reverse, and forward through a memo small enough to
+        // start over many times.
+        for (reverse, max_bytes) in [(false, None), (true, None), (false, Some(4096))] {
+            let mut memo = TailMemo::new(&db, min_sup);
+            if let Some(max_bytes) = max_bytes {
+                memo.max_bytes = max_bytes;
+            }
+            let mut events = 0usize;
+            let order: Box<dyn Iterator<Item = &Vec<Item>>> = if reverse {
+                Box::new(itemsets.iter().rev())
+            } else {
+                Box::new(itemsets.iter())
+            };
+            for x in order {
+                let tids = db.tidset_of_itemset(x).into_bitmap();
+                let table = EventTable::build_memoized(&db, &tids, &mut memo);
+                let memoized = table.family_excluding(x);
+                let direct = family_for(&db, x, min_sup);
+                assert_same_events(
+                    &memoized,
+                    &direct,
+                    &format!("X={x:?} reverse={reverse} max_bytes={max_bytes:?}"),
+                );
+                events += table.entries.len();
+            }
+            assert!(events > 1000, "the database is dense: {events} events");
+            if max_bytes.is_some() {
+                assert!(memo.bytes() <= memo.max_bytes);
+            } else {
+                // Most tails are repeats: the memo holds far fewer
+                // entries than the tables hold events.
+                assert!(
+                    memo.index.len() * 3 < events,
+                    "{} memo entries for {events} events",
+                    memo.index.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tail_memo_collision_falls_back_to_a_fresh_tail() {
+        let db = dense_db();
+        let min_sup = 48;
+        let n = db.num_items() as u32;
+        let (x, e) = (0..n)
+            .flat_map(|a| (0..n).map(move |e| (Item(a), Item(e))))
+            .find(|&(a, e)| a != e && db.bitmap_of(a).and_count(db.bitmap_of(e)) >= min_sup)
+            .expect("the dense base has a frequent pair");
+        let x = [x];
+        let x_tids = db.bitmap_of(x[0]).clone();
+        let key = x_tids.and(db.bitmap_of(e));
+        // A different T(X') ∧ T(e') planted under the key's fingerprint,
+        // with a tail no DP would return.
+        let (other, other_item) = (db.bitmap_of(Item(0)).clone(), Item(n - 1));
+        assert_ne!(other.and(db.bitmap_of(other_item)), key);
+        let mut memo = TailMemo::new(&db, min_sup);
+        memo.arena.extend_from_slice(other.words());
+        let planted = TailEntry {
+            slot: 0,
+            item: other_item,
+            tail: 0.5,
+        };
+        memo.index.insert(key.fingerprint(), planted);
+
+        let table = EventTable::build_memoized(&db, &x_tids, &mut memo);
+        assert_same_events(
+            &table.family_excluding(&x),
+            &family_for(&db, &x, min_sup),
+            "collided key",
+        );
+        let kept = memo.index[&key.fingerprint()];
+        assert_eq!(
+            (kept.slot, kept.item, kept.tail.to_bits()),
+            (0, other_item, 0.5f64.to_bits()),
+            "a collision is not stored"
+        );
     }
 }

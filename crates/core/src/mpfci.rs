@@ -879,6 +879,29 @@ mod tests {
         assert_eq!(uncached.kernel.bound_cache_misses, 0);
         assert_eq!(cached.results, uncached.results);
         assert_eq!(cached.stats, uncached.stats);
+
+        // A dense base, where the run's tail memo serves most tails.
+        let db = crate::events::tests::dense_db();
+        for threads in [1, 2] {
+            let base = MinerConfig::new(48, 0.8)
+                .with_fcp_method(crate::config::FcpMethod::ExactOnly)
+                .with_threads(threads);
+            let cached = dfs(&db, &base);
+            let uncached = dfs(&db, &base.clone().with_event_cache_capacity(0));
+            assert!(!cached.results.is_empty(), "threads={threads}");
+            assert_eq!(cached.stats, uncached.stats, "threads={threads}");
+            assert_eq!(cached.results.len(), uncached.results.len());
+            for (a, b) in cached.results.iter().zip(&uncached.results) {
+                assert_eq!(a.items, b.items, "threads={threads}");
+                assert_eq!(a.fcp.to_bits(), b.fcp.to_bits(), "{:?}", a.items);
+                assert_eq!(
+                    a.frequent_probability.to_bits(),
+                    b.frequent_probability.to_bits(),
+                    "{:?}",
+                    a.items
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,13 +20,11 @@ pub mod closed;
 pub mod eclat;
 pub mod fpgrowth;
 pub mod fptree;
-pub mod maximal;
 
 pub use apriori::frequent_itemsets_apriori;
 pub use closed::{closed_by_filtering, frequent_closed_itemsets};
 pub use eclat::frequent_itemsets_eclat;
 pub use fpgrowth::frequent_itemsets_fpgrowth;
-pub use maximal::{frequent_maximal_itemsets, maximal_by_filtering};
 
 use utdb::Item;
 

@@ -49,6 +49,28 @@ run grep -q '"traceEvents"' "$profdir/trace.json"
 run grep -q '^pfcim_nodes_visited ' "$profdir/metrics.prom"
 run grep -q '^# TYPE pfcim_audit_incremental counter' "$profdir/metrics.prom"
 
+# Dense byte-diff smoke: the tiny T20I10D30KP40 cell spends its mines
+# building event tables through the table cache and the run's tail memo.
+# Turning both off (--event-cache 0) or splitting the run over two
+# workers must not change one byte of the output. (Plain invocations:
+# the `run` helper echoes into the captured stdout.)
+densedir=target/dense-smoke
+mkdir -p "$densedir"
+run cargo run --release -q -p pfcim-bench --example gen_smoke_dat -- --dense "$densedir/dense.dat"
+echo "==> dense smoke (event cache off and two threads vs default)"
+for variant in default nocache threads2; do
+    case "$variant" in
+        default) extra=() ;;
+        nocache) extra=(--event-cache 0) ;;
+        threads2) extra=(--threads 2) ;;
+    esac
+    cargo run --release -q -p pfcim --bin pfcim -- "$densedir/dense.dat" \
+        --min-sup 20% "${extra[@]}" >"$densedir/$variant.out" 2>/dev/null
+done
+run test -s "$densedir/default.out"
+run diff "$densedir/default.out" "$densedir/nocache.out"
+run diff "$densedir/default.out" "$densedir/threads2.out"
+
 # Live-telemetry smoke: launch a deliberately slowed mine with the
 # scrape endpoint on an ephemeral port, curl /metrics, /healthz and
 # /flight while the run is still alive, render one frame of the
