@@ -45,10 +45,19 @@ pub enum SearchStrategy {
 /// How the frequent closed probability of a surviving itemset is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FcpMethod {
-    /// Exact inclusion–exclusion when the itemset has at most this many
-    /// co-occurring extension items, Monte-Carlo `ApproxFCP` otherwise.
+    /// Exact inclusion–exclusion whenever it is cheap, Monte-Carlo
+    /// `ApproxFCP` otherwise. A family of at most `exact_cap` events is
+    /// always exact. A larger family is exact when walking its support
+    /// lattice (the event subsets whose masks still share `min_sup`
+    /// tuples, the only non-zero inclusion–exclusion terms) takes at most
+    /// 1/16 of the work of the `N = ⌈4k·ln(2/δ)/ε²⌉` draws Karp–Luby
+    /// would take, both counted in position steps; the walk stops at that
+    /// budget and the family samples instead. Exact unions are
+    /// bit-identical to [`FcpMethod::ExactOnly`]'s.
     Auto {
-        /// Fan-out cap for the exact path (`2^cap` joint evaluations).
+        /// Fan-out up to which a family is exact however many terms its
+        /// lattice holds (at most
+        /// [`MAX_EXACT_TERMS`](crate::events::MAX_EXACT_TERMS)).
         exact_cap: usize,
     },
     /// Always sample (`ApproxFCP`, Fig. 2) — used by the approximation-
@@ -60,9 +69,10 @@ pub enum FcpMethod {
     /// guarantee whenever the estimator converges within the fixed-`N`
     /// budget (which also serves as its cap).
     ApproxAdaptive,
-    /// Always inclusion–exclusion; panics past
-    /// [`prob::inclusion_exclusion::MAX_EXACT_EVENTS`] events. Intended
-    /// for tests and ground-truth generation on small data.
+    /// Always inclusion–exclusion over the family's support lattice;
+    /// panics past [`MAX_EXACT_TERMS`](crate::events::MAX_EXACT_TERMS)
+    /// non-zero terms, however many events the family has. The
+    /// deterministic mode of tests, ground truth and `pfcim stream`.
     ExactOnly,
 }
 

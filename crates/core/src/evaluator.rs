@@ -28,13 +28,14 @@
 
 use std::sync::Arc;
 
+use prob::dnf::required_samples;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use utdb::{Item, TidBitmap, UncertainDatabase};
 
 use crate::cache::SharedEventCache;
 use crate::config::{FcpMethod, MinerConfig};
-use crate::events::{BoundTier, EventTable, NonClosureEvents, TailMemo};
+use crate::events::{BoundTier, EventTable, NonClosureEvents, TailMemo, MAX_EXACT_TERMS};
 use crate::fcp::{approx_fcp_adaptive_traced, approx_fcp_chunked_traced, approx_fcp_traced};
 use crate::result::Pfci;
 use crate::stats::{DpAudit, KernelStats, MinerStats, PhaseTimers};
@@ -43,6 +44,23 @@ use crate::trace::{timed, FcpEvalKind, MinerSink, Phase, PruneKind};
 /// Bounds intervals narrower than this are treated as decided without a
 /// full FCP computation (the paper's "upper bound equals lower bound").
 const DECIDED_WIDTH: f64 = 1e-6;
+
+/// An `Auto` family past `exact_cap` is exact when its lattice walk
+/// needs at most `1 / SAMPLING_PER_WALK` of the work of the `N` Karp–Luby
+/// draws it would replace, both counted in the position steps of
+/// [`NonClosureEvents::lattice_union`] and
+/// [`NonClosureEvents::draw_work`]. A walk step measured 0.02–1.2× the
+/// time of a draw step, on a sparse Quest base at min_sup 2–10 and a
+/// dense T20I10 base at min_sup 40–320 (DESIGN §17), so a walk that
+/// finishes within the budget, or is abandoned at it, costs at most
+/// about 8% of that sampling.
+const SAMPLING_PER_WALK: f64 = 16.0;
+
+/// The work budget of an `Auto` family's lattice walk past `exact_cap`.
+fn auto_walk_budget(events: &NonClosureEvents, epsilon: f64, delta: f64) -> u64 {
+    let draws = required_samples(events.considered_items(), epsilon, delta);
+    (draws as f64 * events.draw_work() / SAMPLING_PER_WALK) as u64
+}
 
 pub(crate) struct Evaluator<'a, S: MinerSink + ?Sized> {
     pub db: &'a UncertainDatabase,
@@ -204,20 +222,35 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
         (r.fcp > self.cfg.pfct).then(|| self.emit(items, r.fcp, pr_f))
     }
 
+    /// The checking phase's planner: the exact lattice union within a
+    /// work budget, `ApproxFCP` past it (see [`FcpMethod`]). A walk
+    /// abandoned at its budget is timed under [`Phase::FcpExact`] although
+    /// the family then counts as sampled; the budget keeps it under about
+    /// 8% of the sampling that follows.
     fn compute_fcp(&mut self, events: &NonClosureEvents, pr_f: f64) -> f64 {
-        let use_exact = match self.cfg.fcp_method {
-            FcpMethod::ExactOnly => true,
-            FcpMethod::ApproxOnly | FcpMethod::ApproxAdaptive => false,
-            FcpMethod::Auto { exact_cap } => events.len() <= exact_cap,
+        let max_work = match self.cfg.fcp_method {
+            FcpMethod::ExactOnly => Some(u64::MAX),
+            FcpMethod::ApproxOnly | FcpMethod::ApproxAdaptive => None,
+            FcpMethod::Auto { exact_cap } if events.len() <= exact_cap => Some(u64::MAX),
+            FcpMethod::Auto { .. } => {
+                Some(auto_walk_budget(events, self.cfg.epsilon, self.cfg.delta))
+            }
         };
-        if use_exact {
+        let union = max_work.and_then(|max_work| {
+            timed(Phase::FcpExact, &mut self.timers, &mut *self.sink, || {
+                events.lattice_union(MAX_EXACT_TERMS, max_work)
+            })
+        });
+        if let Some(union) = union {
             self.stats.fcp_exact += 1;
-            let union = timed(Phase::FcpExact, &mut self.timers, &mut *self.sink, || {
-                prob::exact_union_probability(events.len(), |s| events.joint(s))
-            });
             self.sink.fcp_evaluated(FcpEvalKind::Exact, 0);
             (pr_f - union).clamp(0.0, pr_f)
         } else {
+            assert!(
+                self.cfg.fcp_method != FcpMethod::ExactOnly,
+                "exact inclusion-exclusion over {} events exceeds {MAX_EXACT_TERMS} non-zero terms",
+                events.len()
+            );
             let r = if matches!(self.cfg.fcp_method, FcpMethod::ApproxAdaptive) {
                 // The stopping rule is inherently sequential (each draw
                 // decides whether to continue), so it never chunks.
@@ -269,5 +302,87 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
             fcp,
             frequent_probability: pr_f,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::events::tests::{full_lattice, synthetic_family, wide_sparse_family};
+    use crate::fcp::{approx_fcp, approx_fcp_chunked};
+    use crate::trace::NullSink;
+
+    const PR_F: f64 = 0.95;
+
+    /// The planner's FCP for `events` under `cfg`, and the run's counters.
+    fn plan(cfg: &MinerConfig, events: &NonClosureEvents) -> (f64, MinerStats) {
+        let db = UncertainDatabase::parse_symbolic(&[("a", 0.5)]);
+        let mut sink = NullSink;
+        let mut evaluator = Evaluator::new(&db, cfg, &mut sink, None);
+        let fcp = evaluator.compute_fcp(events, PR_F);
+        (fcp, evaluator.stats)
+    }
+
+    #[test]
+    fn a_family_over_the_budget_samples_exactly_as_approx_fcp() {
+        let events = full_lattice();
+        let budget = auto_walk_budget(&events, 0.1, 0.1);
+        assert!(events.lattice_union(MAX_EXACT_TERMS, budget).is_none());
+        for threads in [1, 2] {
+            let cfg = MinerConfig::new(5, 0.5)
+                .with_seed(11)
+                .with_threads(threads)
+                .with_fcp_method(FcpMethod::Auto { exact_cap: 8 });
+            let (fcp, stats) = plan(&cfg, &events);
+            let mut rng = SmallRng::seed_from_u64(11);
+            let expected = if threads == 1 {
+                approx_fcp(&events, PR_F, 0.1, 0.1, &mut rng)
+            } else {
+                approx_fcp_chunked(&events, PR_F, 0.1, 0.1, threads, rng.next_u64())
+            };
+            assert_eq!(fcp.to_bits(), expected.fcp.to_bits(), "threads={threads}");
+            assert_eq!(
+                (stats.fcp_exact, stats.fcp_sampled, stats.samples_drawn),
+                (0, 1, expected.samples as u64)
+            );
+        }
+    }
+
+    #[test]
+    fn a_wide_family_with_a_small_lattice_is_exact() {
+        let events = wide_sparse_family();
+        assert!(events.len() > prob::inclusion_exclusion::MAX_EXACT_EVENTS);
+        let union = events.lattice_union(MAX_EXACT_TERMS, u64::MAX).unwrap();
+        for method in [FcpMethod::Auto { exact_cap: 8 }, FcpMethod::ExactOnly] {
+            let (fcp, stats) = plan(&MinerConfig::new(2, 0.5).with_fcp_method(method), &events);
+            assert_eq!(fcp.to_bits(), (PR_F - union).clamp(0.0, PR_F).to_bits());
+            assert_eq!((stats.fcp_exact, stats.fcp_sampled), (1, 0), "{method:?}");
+        }
+    }
+
+    #[test]
+    fn a_family_of_few_but_costly_terms_samples() {
+        // Four events over the same 400 positions at min_sup 200: only 15
+        // terms, but each scans 400 positions and runs a 400 × 200 tail
+        // DP, far more work than 1/16 of N draws over 400 positions.
+        let events = synthetic_family(vec![0.9; 400], &vec![(0..400).collect(); 4], 200);
+        assert!(events.lattice_union(15, u64::MAX).is_some());
+        let cfg = MinerConfig::new(200, 0.5)
+            .with_seed(3)
+            .with_fcp_method(FcpMethod::Auto { exact_cap: 2 });
+        let draws = required_samples(events.considered_items(), cfg.epsilon, cfg.delta);
+        assert!(15 < draws / 16, "a term budget would keep it exact");
+        let (_, stats) = plan(&cfg, &events);
+        assert_eq!((stats.fcp_exact, stats.fcp_sampled), (0, 1));
+    }
+
+    #[test]
+    fn a_family_within_exact_cap_is_exact_at_any_lattice_size() {
+        let events = full_lattice();
+        let dense = prob::exact_union_probability(events.len(), |s| events.joint(s));
+        let cfg = MinerConfig::new(5, 0.5).with_fcp_method(FcpMethod::Auto { exact_cap: 16 });
+        let (fcp, stats) = plan(&cfg, &events);
+        assert_eq!(fcp.to_bits(), (PR_F - dense).clamp(0.0, PR_F).to_bits());
+        assert_eq!((stats.fcp_exact, stats.fcp_sampled), (1, 0));
     }
 }

@@ -84,16 +84,39 @@ pub struct NonClosureEvents {
 
 #[derive(Default)]
 struct JointScratch {
+    /// Existential probabilities inside the current intersection.
     probs: Vec<f64>,
     dp: Vec<f64>,
-    mask: Option<TidBitmap>,
+    /// Depth-indexed running intersections: `levels[d]` is the mask
+    /// intersection of the `d + 1` events on the current lattice path
+    /// (`levels[0]` alone serves [`NonClosureEvents::joint`]).
+    levels: Vec<TidBitmap>,
+    /// The lattice walk's stack: per depth, the next candidate event and
+    /// the exclusive end of the candidates.
+    frames: Vec<(usize, usize)>,
+}
+
+/// `levels[depth]`, growing the stack on first use of a depth.
+fn level(levels: &mut Vec<TidBitmap>, depth: usize) -> &mut TidBitmap {
+    if levels.len() <= depth {
+        levels.resize_with(depth + 1, || TidBitmap::new(0));
+    }
+    &mut levels[depth]
 }
 
 thread_local! {
-    /// Per-thread scratch of [`NonClosureEvents::joint`], kept out of the
-    /// family so the family stays `Sync`.
+    /// Per-thread scratch of [`NonClosureEvents::joint`] and
+    /// [`NonClosureEvents::lattice_union`], kept out of the family so the
+    /// family stays `Sync`.
     static JOINT_SCRATCH: RefCell<JointScratch> = RefCell::new(JointScratch::default());
 }
+
+/// Most non-zero inclusion–exclusion terms an exact evaluation
+/// ([`FcpMethod::ExactOnly`](crate::FcpMethod::ExactOnly),
+/// [`crate::exact::exact_fcp_inclusion_exclusion`], or an `Auto` family
+/// within its `exact_cap`) may enumerate: `2^24`, the term count of the
+/// largest family the dense `2^m` loop accepted.
+pub const MAX_EXACT_TERMS: usize = 1 << 24;
 
 /// Scratch of [`event_for_item`], reused across the items of one build.
 struct BuildScratch {
@@ -378,31 +401,153 @@ impl NonClosureEvents {
             [] => 1.0,
             [i] => self.events[*i].prob,
             [first, rest @ ..] => JOINT_SCRATCH.with_borrow_mut(|scratch| {
-                let mask = scratch
-                    .mask
-                    .get_or_insert_with(|| self.events[*first].mask.clone());
+                let JointScratch {
+                    probs, dp, levels, ..
+                } = scratch;
+                let mask = level(levels, 0);
                 mask.clone_from(&self.events[*first].mask);
                 for &i in rest {
                     mask.and_assign(&self.events[i].mask);
                 }
-                scratch.probs.clear();
-                let mut absent_factor = 1.0f64;
-                for (pos, &p) in self.probs.iter().enumerate() {
-                    if mask.contains(pos) {
-                        scratch.probs.push(p);
-                    } else {
-                        absent_factor *= 1.0 - p;
-                    }
-                }
-                if scratch.probs.len() < self.min_sup || absent_factor == 0.0 {
-                    return 0.0;
-                }
-                if scratch.dp.len() < self.min_sup + 1 {
-                    scratch.dp.resize(self.min_sup + 1, 0.0);
-                }
-                absent_factor * tail_at_least_with(&scratch.probs, self.min_sup, &mut scratch.dp)
+                self.intersection_term(mask, probs, dp).unwrap_or(0.0)
             }),
         }
+    }
+
+    /// The joint of the events whose mask intersection is `mask`, or
+    /// `None` when it is exactly zero for this subset *and every superset
+    /// of it*: fewer than `min_sup` positions remain, or the absence
+    /// factor is zero (a superset's factor multiplies, in the same
+    /// position order, a superset of these factors, each at most 1, so
+    /// rounding keeps it at zero).
+    fn intersection_term(
+        &self,
+        mask: &TidBitmap,
+        probs: &mut Vec<f64>,
+        dp: &mut Vec<f64>,
+    ) -> Option<f64> {
+        probs.clear();
+        let mut absent_factor = 1.0f64;
+        for (pos, &p) in self.probs.iter().enumerate() {
+            if mask.contains(pos) {
+                probs.push(p);
+            } else {
+                absent_factor *= 1.0 - p;
+            }
+        }
+        if probs.len() < self.min_sup || absent_factor == 0.0 {
+            return None;
+        }
+        if dp.len() < self.min_sup + 1 {
+            dp.resize(self.min_sup + 1, 0.0);
+        }
+        Some(absent_factor * tail_at_least_with(probs, self.min_sup, dp))
+    }
+
+    /// `Pr(∪ C_i)` by inclusion–exclusion over the family's *support
+    /// lattice*, or `None` as soon as the walk has enumerated more than
+    /// `max_terms` non-zero terms or spent more than `max_work` work
+    /// units.
+    ///
+    /// `Pr(∧_{i∈S} C_i)` is exactly zero whenever the masks of `S`
+    /// intersect in fewer than `min_sup` positions, and so is the joint
+    /// of every superset of `S`. The walk therefore descends from a
+    /// subset only while its running intersection holds at least
+    /// `min_sup` positions; its cost follows the number of non-zero
+    /// terms, not `2^m`. Each term uses [`NonClosureEvents::joint`]'s
+    /// arithmetic on the running intersection (AND is exact, so the
+    /// intersection is the one `joint` builds).
+    ///
+    /// The walk is a pre-order DFS in which the children of `S` are
+    /// `S ∪ {i}` for every `i < min S`, ascending, so subsets are visited
+    /// in ascending bitmask order — the order of the dense `2^m` loop of
+    /// [`prob::exact_union_probability`]. Skipped subsets contribute
+    /// exactly `0.0` there, so for every family the dense loop accepts
+    /// the two sums are bit-identical.
+    ///
+    /// Work is counted in position steps, the unit of
+    /// [`NonClosureEvents::draw_work`]: every subset the walk looks at
+    /// costs the words of its mask AND and popcount, and every non-zero
+    /// term also its scan of the `k` positions of `T(X)` and its tail
+    /// dynamic program over the `n ≥ min_sup` positions left in the
+    /// intersection, `k + n·min_sup`.
+    pub fn lattice_union(&self, max_terms: usize, max_work: u64) -> Option<f64> {
+        let k = self.probs.len() as u64;
+        let words = self.probs.len().div_ceil(64) as u64;
+        JOINT_SCRATCH.with_borrow_mut(|scratch| {
+            let JointScratch {
+                probs,
+                dp,
+                levels,
+                frames,
+            } = scratch;
+            let mut total = 0.0f64;
+            let (mut terms, mut work) = (0usize, 0u64);
+            for (top, event) in self.events.iter().enumerate() {
+                terms += 1;
+                work += words;
+                if terms > max_terms || work > max_work {
+                    return None;
+                }
+                total += event.prob;
+                level(levels, 0).clone_from(&event.mask);
+                frames.clear();
+                frames.push((0, top));
+                while let Some(frame) = frames.last_mut() {
+                    let (i, end) = *frame;
+                    if i == end {
+                        frames.pop();
+                        continue;
+                    }
+                    frame.0 += 1;
+                    // The child `S ∪ {i}` has `depth + 1` events.
+                    let depth = frames.len();
+                    level(levels, depth);
+                    let (parents, children) = levels.split_at_mut(depth);
+                    let child = &mut children[0];
+                    parents[depth - 1].and_into(&self.events[i].mask, child);
+                    let n = child.count();
+                    work += words;
+                    if n >= self.min_sup {
+                        terms += 1;
+                        work += k + (n * self.min_sup) as u64;
+                    }
+                    if terms > max_terms || work > max_work {
+                        return None;
+                    }
+                    if n < self.min_sup {
+                        continue;
+                    }
+                    let Some(term) = self.intersection_term(child, probs, dp) else {
+                        continue;
+                    };
+                    if depth % 2 == 0 {
+                        total += term;
+                    } else {
+                        total -= term;
+                    }
+                    frames.push((0, i));
+                }
+            }
+            Some(prob::clamp_prob(total))
+        })
+    }
+
+    /// Expected work of one Karp–Luby draw, in the position steps of
+    /// [`NonClosureEvents::lattice_union`]: a draw picks event `i` with
+    /// probability `Pr(C_i)/Z` and scatters one conditional trial over
+    /// each position of its mask, so it costs the mass-weighted mean mask
+    /// size `Σ Pr(C_i)·|mask_i| / Z`. Zero for an empty family.
+    pub fn draw_work(&self) -> f64 {
+        if self.total_mass <= 0.0 {
+            return 0.0;
+        }
+        let weighted: f64 = self
+            .events
+            .iter()
+            .map(|e| e.prob * e.mask.count() as f64)
+            .sum();
+        weighted / self.total_mass
     }
 
     /// Lemma 4.4 bounds on `Pr_FC(X) = pr_f − Pr(∪ C_e)` as
@@ -1074,6 +1219,158 @@ pub(crate) mod tests {
                 est.estimate
             );
         }
+    }
+
+    /// A family over positions of existential probabilities `probs`, one
+    /// event per mask (a list of positions), each `Pr(C_e)` computed with
+    /// the joint arithmetic; zero-probability events are dropped, as a
+    /// build drops them.
+    pub(crate) fn synthetic_family(
+        probs: Vec<f64>,
+        masks: &[Vec<usize>],
+        min_sup: usize,
+    ) -> NonClosureEvents {
+        let k = probs.len();
+        let shell = NonClosureEvents::from_parts(probs.clone(), min_sup, Vec::new(), 0);
+        let (mut scratch_probs, mut dp) = (Vec::new(), Vec::new());
+        let events = masks
+            .iter()
+            .enumerate()
+            .filter_map(|(id, positions)| {
+                let mask = TidBitmap::from_tids(k, positions.iter().copied());
+                let prob = shell.intersection_term(&mask, &mut scratch_probs, &mut dp)?;
+                (prob > 0.0).then_some(NcEvent {
+                    item: Item(id as u32),
+                    mask,
+                    prob,
+                })
+            })
+            .collect();
+        NonClosureEvents::from_parts(probs, min_sup, events, masks.len())
+    }
+
+    /// A random family: `m` events over `k` positions, each position in
+    /// each mask with probability `density`, `min_sup` at most half the
+    /// positions. One position in thirty is certain (`p = 1`), so
+    /// absence factors of exactly zero occur.
+    fn random_family(m: usize, k: usize, density: f64, seed: u64) -> NonClosureEvents {
+        use rand::rngs::SmallRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let probs: Vec<f64> = (0..k)
+            .map(|_| {
+                if rng.random::<f64>() < 1.0 / 30.0 {
+                    1.0
+                } else {
+                    0.05 + 0.9 * rng.random::<f64>()
+                }
+            })
+            .collect();
+        let masks: Vec<Vec<usize>> = (0..m)
+            .map(|_| (0..k).filter(|_| rng.random::<f64>() < density).collect())
+            .collect();
+        let min_sup = rng.random_range(1..=k.div_ceil(2));
+        synthetic_family(probs, &masks, min_sup)
+    }
+
+    fn dense_union(fam: &NonClosureEvents) -> f64 {
+        prob::exact_union_probability(fam.len(), |s| fam.joint(s))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The lattice walk reproduces the dense `2^m` loop bit for bit.
+        #[test]
+        fn lattice_union_is_bit_identical_to_the_dense_loop(
+            m in 1usize..=16,
+            k in 1usize..=40,
+            density in 0.4f64..1.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let fam = random_family(m, k, density, seed);
+            let lattice = fam.lattice_union(MAX_EXACT_TERMS, u64::MAX).expect("within the cap");
+            proptest::prop_assert_eq!(lattice.to_bits(), dense_union(&fam).to_bits());
+        }
+    }
+
+    /// Sixteen events that all cover all forty positions: every one of
+    /// the `2^16 − 1` intersections clears min_sup, nothing is pruned.
+    pub(crate) fn full_lattice() -> NonClosureEvents {
+        let probs: Vec<f64> = (0..40).map(|p| 0.5 + p as f64 / 100.0).collect();
+        synthetic_family(probs, &vec![(0..40).collect::<Vec<_>>(); 16], 5)
+    }
+
+    /// Forty events on disjoint pairs of positions at min_sup 2: no two
+    /// events share two positions, so the lattice is the forty
+    /// singletons. The events are mutually exclusive.
+    pub(crate) fn wide_sparse_family() -> NonClosureEvents {
+        let probs: Vec<f64> = (0..80).map(|p| 0.6 + (p % 7) as f64 / 20.0).collect();
+        let masks: Vec<Vec<usize>> = (0..40).map(|i| vec![2 * i, 2 * i + 1]).collect();
+        synthetic_family(probs, &masks, 2)
+    }
+
+    #[test]
+    fn lattice_union_enumerates_every_term_of_a_full_lattice() {
+        let fam = full_lattice();
+        assert_eq!(fam.len(), 16);
+        let all = (1 << 16) - 1;
+        let union = fam
+            .lattice_union(all, u64::MAX)
+            .expect("exactly 2^16 - 1 terms");
+        assert_eq!(union.to_bits(), dense_union(&fam).to_bits());
+        assert_eq!(
+            fam.lattice_union(all - 1, u64::MAX),
+            None,
+            "one term over budget"
+        );
+    }
+
+    #[test]
+    fn lattice_union_of_a_wide_sparse_family_stays_cheap() {
+        // Forty singleton terms; the union of mutually exclusive events is
+        // their summed mass.
+        let fam = wide_sparse_family();
+        assert_eq!(fam.len(), 40);
+        assert_eq!(fam.lattice_union(39, u64::MAX), None);
+        let union = fam
+            .lattice_union(40, u64::MAX)
+            .expect("forty singleton terms");
+        assert_eq!(union.to_bits(), fam.total_mass().to_bits());
+    }
+
+    #[test]
+    fn lattice_union_charges_every_subset_it_looks_at() {
+        // Eighty positions are two words. The forty singletons cost their
+        // mask copy, 40 · 2; each of the 40·39/2 pairs is looked at once,
+        // an AND and a popcount of 2 words, and pruned (no two masks
+        // share a position).
+        let fam = wide_sparse_family();
+        let work = 40 * 2 + 780 * 2;
+        let union = fam
+            .lattice_union(40, work)
+            .expect("exactly the walk's work");
+        assert_eq!(union.to_bits(), fam.total_mass().to_bits());
+        assert_eq!(
+            fam.lattice_union(40, work - 1),
+            None,
+            "one unit over budget"
+        );
+        // A full lattice also charges each term's scan and tail DP:
+        // 2^16 − 1 − 16 terms of 40 positions, min_sup 5, one word.
+        let fam = full_lattice();
+        let pairs_and_up = (1u64 << 16) - 1 - 16;
+        let work = 16 + pairs_and_up * (1 + 40 + 40 * 5);
+        assert!(fam.lattice_union(MAX_EXACT_TERMS, work).is_some());
+        assert_eq!(fam.lattice_union(MAX_EXACT_TERMS, work - 1), None);
+    }
+
+    #[test]
+    fn draw_work_is_the_mass_weighted_mask_size() {
+        assert_eq!(wide_sparse_family().draw_work(), 2.0);
+        assert_eq!(full_lattice().draw_work(), 40.0);
+        let empty = NonClosureEvents::from_parts(vec![0.5; 3], 2, Vec::new(), 4);
+        assert_eq!(empty.draw_work(), 0.0);
     }
 
     #[test]

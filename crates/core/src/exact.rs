@@ -4,8 +4,9 @@
 //! Two independent exact routes:
 //!
 //! * [`exact_fcp_inclusion_exclusion`] — `Pr_F(X)` minus the exact union
-//!   probability of the non-closure events by inclusion–exclusion
-//!   (`2^m` joint evaluations; `m` capped);
+//!   probability of the non-closure events by inclusion–exclusion over
+//!   the family's support lattice (one joint per non-zero term; the term
+//!   count capped);
 //! * [`exact_fcp_by_worlds`] — direct possible-world enumeration
 //!   (`2^n` worlds; `n` capped).
 //!
@@ -14,17 +15,17 @@
 //! problem on small databases, the reference for every end-to-end test
 //! and for the precision/recall study (Fig. 11).
 
-use prob::inclusion_exclusion::{exact_union_probability, MAX_EXACT_EVENTS};
 use utdb::{Item, PossibleWorlds, UncertainDatabase};
 
-use crate::events::NonClosureEvents;
+use crate::events::{NonClosureEvents, MAX_EXACT_TERMS};
 use crate::result::Pfci;
 
 /// Exact `Pr_FC(X)` via inclusion–exclusion over the non-closure events.
 ///
-/// Returns `None` when the itemset has more than
-/// [`MAX_EXACT_EVENTS`] positive-probability events (fall back to
-/// [`crate::fcp::approx_fcp`]).
+/// Returns `None` when the family's support lattice has more than
+/// [`MAX_EXACT_TERMS`] non-zero terms (fall back to
+/// [`crate::fcp::approx_fcp`]); a wide family whose events rarely
+/// overlap in `min_sup` tuples stays exact.
 pub fn exact_fcp_inclusion_exclusion(
     db: &UncertainDatabase,
     itemset: &[Item],
@@ -37,10 +38,7 @@ pub fn exact_fcp_inclusion_exclusion(
         .map(Item)
         .filter(|i| !itemset.contains(i));
     let events = NonClosureEvents::build(db, &tids, ext, min_sup);
-    if events.len() > MAX_EXACT_EVENTS {
-        return None;
-    }
-    let union = exact_union_probability(events.len(), |s| events.joint(s));
+    let union = events.lattice_union(MAX_EXACT_TERMS, u64::MAX)?;
     Some((pr_f - union).clamp(0.0, pr_f))
 }
 
@@ -96,8 +94,33 @@ pub fn exact_pfci_set(db: &UncertainDatabase, min_sup: usize, pfct: f64) -> Vec<
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Fourteen rows, each holding the hub item `h`, and thirty leaf items
+    /// on three seeded random rows each. At min_sup 2 the family of `{h}`
+    /// has thirty events, past the 24 the dense `2^m` loop accepted, but
+    /// few leaves share two rows, so its support lattice is small.
+    pub(crate) fn wide_sparse_db() -> UncertainDatabase {
+        use rand::rngs::SmallRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut rows: Vec<String> = vec!["h".to_owned(); 14];
+        for leaf in 0..30 {
+            let mut placed = 0;
+            while placed < 3 {
+                let row = &mut rows[rng.random_range(0..14usize)];
+                let name = format!(" l{leaf}");
+                if !row.ends_with(&name) {
+                    row.push_str(&name);
+                    placed += 1;
+                }
+            }
+        }
+        let probs: Vec<f64> = (0..14).map(|_| 0.5 + 0.45 * rng.random::<f64>()).collect();
+        let pairs: Vec<(&str, f64)> = rows.iter().map(String::as_str).zip(probs).collect();
+        UncertainDatabase::parse_symbolic(&pairs)
+    }
 
     fn table2() -> UncertainDatabase {
         UncertainDatabase::parse_symbolic(&[
@@ -155,6 +178,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn inclusion_exclusion_handles_a_wide_sparse_family() {
+        let db = wide_sparse_db();
+        let hub = items(&db, "h");
+        let tids = db.tidset_of_itemset(&hub).into_bitmap();
+        let ext = (1..db.num_items() as u32).map(Item);
+        let events = NonClosureEvents::build(&db, &tids, ext, 2);
+        assert!(events.len() > 24, "{} events", events.len());
+        let by_ie = exact_fcp_inclusion_exclusion(&db, &hub, 2).expect("small lattice");
+        let by_worlds = exact_fcp_by_worlds(&db, &hub, 2);
+        assert!((by_ie - by_worlds).abs() < 1e-12, "{by_ie} vs {by_worlds}");
     }
 
     #[test]

@@ -60,8 +60,9 @@
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use crate::config::{FcpMethod, MinerConfig};
@@ -113,6 +114,17 @@ struct Semaphore {
     cv: Condvar,
 }
 
+/// A taken admission permit; dropping it (also while unwinding from a
+/// panicking query) gives the permit back.
+struct Permit<'a>(&'a Semaphore);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *lock(&self.0.permits) += 1;
+        self.0.cv.notify_one();
+    }
+}
+
 impl Semaphore {
     fn new(permits: usize) -> Self {
         Self {
@@ -121,39 +133,52 @@ impl Semaphore {
         }
     }
 
-    /// Take a permit, giving up at `deadline`. Returns `false` when the
+    /// Take a permit, giving up at `deadline`. Returns `None` when the
     /// deadline passed while queued.
-    fn acquire_until(&self, deadline: Option<Instant>) -> bool {
-        let mut permits = self.permits.lock().expect("semaphore poisoned");
+    fn acquire_until(&self, deadline: Option<Instant>) -> Option<Permit<'_>> {
+        let mut permits = lock(&self.permits);
         loop {
             if *permits > 0 {
                 *permits -= 1;
-                return true;
+                return Some(Permit(self));
             }
             match deadline {
                 None => {
-                    permits = self.cv.wait(permits).expect("semaphore poisoned");
+                    permits = self
+                        .cv
+                        .wait(permits)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
-                        return false;
+                        return None;
                     }
                     let (guard, _) = self
                         .cv
                         .wait_timeout(permits, d - now)
-                        .expect("semaphore poisoned");
+                        .unwrap_or_else(PoisonError::into_inner);
                     permits = guard;
                 }
             }
         }
     }
+}
 
-    fn release(&self) {
-        let mut permits = self.permits.lock().expect("semaphore poisoned");
-        *permits += 1;
-        self.cv.notify_one();
-    }
+/// Lock `mutex`, recovering the guard if a panicking thread poisoned it.
+/// Every lock of the server guards a value each critical section leaves
+/// consistent (a permit count; the result list and the snapshot table,
+/// changed by single `Vec` and `BTreeMap` operations), so a poisoned
+/// one is still safe to use.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read the snapshot table, recovering from poison (see [`lock`]).
+fn read(
+    table: &RwLock<BTreeMap<String, Snapshot>>,
+) -> RwLockReadGuard<'_, BTreeMap<String, Snapshot>> {
+    table.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------
@@ -521,11 +546,7 @@ impl std::fmt::Debug for Server {
             f,
             "Server({}, {} snapshots)",
             self.local,
-            self.inner
-                .snapshots
-                .read()
-                .expect("snapshot table poisoned")
-                .len()
+            read(&self.inner.snapshots).len()
         )
     }
 }
@@ -573,13 +594,7 @@ impl Server {
     /// The loaded snapshots, name-sorted (for status output and tests).
     /// Clones are cheap (two `Arc` bumps).
     pub fn snapshots(&self) -> Vec<Snapshot> {
-        self.inner
-            .snapshots
-            .read()
-            .expect("snapshot table poisoned")
-            .values()
-            .cloned()
-            .collect()
+        read(&self.inner.snapshots).values().cloned().collect()
     }
 
     /// Load or replace a snapshot while the server runs — the publish
@@ -593,7 +608,7 @@ impl Server {
             .inner
             .snapshots
             .write()
-            .expect("snapshot table poisoned");
+            .unwrap_or_else(PoisonError::into_inner);
         let name = snapshot.name().to_owned();
         if let Some(old) = snapshots.get(&name) {
             while snapshot.generation() <= old.generation() {
@@ -609,11 +624,7 @@ impl Server {
     /// its memoized event tables, and purge its carve-cache entries.
     /// Returns `false` when no snapshot has that name.
     pub fn invalidate(&self, name: &str) -> bool {
-        let snapshots = self
-            .inner
-            .snapshots
-            .read()
-            .expect("snapshot table poisoned");
+        let snapshots = read(&self.inner.snapshots);
         let Some(snapshot) = snapshots.get(name) else {
             return false;
         };
@@ -627,7 +638,7 @@ impl Server {
     /// with `name@generation|`).
     fn purge_results(&self, name: &str) {
         let prefix = format!("{name}@");
-        let mut cache = self.inner.results.lock().expect("result cache poisoned");
+        let mut cache = lock(&self.inner.results);
         cache.retain(|e| !e.key.starts_with(&prefix));
     }
 
@@ -707,13 +718,17 @@ fn handle_query_connection(stream: TcpStream, inner: &Arc<ServerInner>) -> io::R
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     while let Some(body) = read_frame(&mut reader)? {
-        let response = match QueryRequest::parse(&body) {
-            Ok(request) => answer_query(&request, inner),
-            Err(e) => {
+        // A panicking query answers with an error frame; its permit is
+        // released on unwind and the connection keeps serving.
+        let response = QueryRequest::parse(&body)
+            .and_then(|request| {
+                catch_unwind(AssertUnwindSafe(|| answer_query(&request, inner)))
+                    .map_err(|payload| format!("query panicked: {}", panic_message(&*payload)))
+            })
+            .unwrap_or_else(|e| {
                 inner.counters.errors.fetch_add(1, Ordering::Relaxed);
                 format!("{{\"status\":\"error\",\"error\":\"{}\"}}", json_escape(&e))
-            }
-        };
+            });
         write_frame(&mut writer, &response)?;
         if inner.stop.load(Ordering::SeqCst) {
             break;
@@ -722,17 +737,22 @@ fn handle_query_connection(stream: TcpStream, inner: &Arc<ServerInner>) -> io::R
     Ok(())
 }
 
+/// The message of a panic payload (`panic!` with a literal or a format
+/// string), or a placeholder.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string panic payload")
+}
+
 /// Execute one query end to end: admission, carve lookup, mining,
 /// result-cache insertion, response rendering.
 fn answer_query(request: &QueryRequest, inner: &Arc<ServerInner>) -> String {
     inner.counters.queries.fetch_add(1, Ordering::Relaxed);
     let start = Instant::now();
-    let snapshot = inner
-        .snapshots
-        .read()
-        .expect("snapshot table poisoned")
-        .get(&request.snapshot)
-        .cloned();
+    let snapshot = read(&inner.snapshots).get(&request.snapshot).cloned();
     let Some(snapshot) = snapshot else {
         inner.counters.errors.fetch_add(1, Ordering::Relaxed);
         return format!(
@@ -782,8 +802,12 @@ fn answer_query(request: &QueryRequest, inner: &Arc<ServerInner>) -> String {
     }
     // Admission: bounded mining concurrency; the deadline keeps ticking
     // while queued.
-    if !inner.admission.acquire_until(deadline) {
+    let Some(permit) = inner.admission.acquire_until(deadline) else {
         return deadline_response(inner);
+    };
+    #[cfg(test)]
+    if snapshot.name() == tests::PANICKING_SNAPSHOT {
+        panic!("injected panic in a query of {}", tests::PANICKING_SNAPSHOT);
     }
     let mut config = request.config.clone();
     if let Some(d) = deadline {
@@ -800,7 +824,7 @@ fn answer_query(request: &QueryRequest, inner: &Arc<ServerInner>) -> String {
         .algorithm(request.algorithm)
         .sink(&mut sink)
         .run();
-    inner.admission.release();
+    drop(permit);
 
     let outcome = Arc::new(outcome);
     insert_outcome(inner, key, request.config.pfct, Arc::clone(&outcome));
@@ -821,7 +845,7 @@ fn answer_query(request: &QueryRequest, inner: &Arc<ServerInner>) -> String {
 /// MRU on a hit — a hot looser-threshold outcome must not age out under
 /// eviction pressure while it is still answering stricter queries.
 fn lookup_carve(inner: &ServerInner, key: &str, pfct: f64) -> Option<(f64, Arc<MiningOutcome>)> {
-    let mut cache = inner.results.lock().expect("result cache poisoned");
+    let mut cache = lock(&inner.results);
     let pos = cache
         .iter()
         .enumerate()
@@ -835,7 +859,7 @@ fn lookup_carve(inner: &ServerInner, key: &str, pfct: f64) -> Option<(f64, Arc<M
 }
 
 fn insert_outcome(inner: &ServerInner, key: String, pfct: f64, outcome: Arc<MiningOutcome>) {
-    let mut cache = inner.results.lock().expect("result cache poisoned");
+    let mut cache = lock(&inner.results);
     cache.retain(|e| !(e.key == key && e.pfct == pfct));
     cache.insert(0, CacheEntry { key, pfct, outcome });
     cache.truncate(RESULT_CACHE_CAPACITY);
@@ -947,7 +971,7 @@ fn serve_metrics_text(inner: &ServerInner) -> String {
         "# TYPE pfcim_serve_active_connections gauge\npfcim_serve_active_connections {}\n",
         c.active_connections.load(Ordering::Relaxed)
     ));
-    let snapshots = inner.snapshots.read().expect("snapshot table poisoned");
+    let snapshots = read(&inner.snapshots);
     text.push_str(&format!(
         "# TYPE pfcim_serve_snapshots gauge\npfcim_serve_snapshots {}\n",
         snapshots.len()
@@ -1442,6 +1466,107 @@ mod tests {
             .request(r#"{"snapshot":"t4","min_sup":2,"pfct":0.65,"fcp_method":"exact"}"#)
             .unwrap();
         assert_eq!(get(&again, "carved").as_deref(), Some("true"), "{again}");
+        server.shutdown();
+    }
+
+    /// Queries of a snapshot by this name panic right after admission.
+    pub(super) const PANICKING_SNAPSHOT: &str = "panics";
+
+    /// The result payload of a response (between `"results":` and
+    /// `,"stats"`).
+    fn payload(resp: &str) -> &str {
+        let start = resp.find("\"results\":").expect("results");
+        let end = resp.find(",\"stats\"").expect("stats");
+        &resp[start..end]
+    }
+
+    #[test]
+    fn a_panicking_query_leaks_no_permit_and_disturbs_no_other_query() {
+        // One permit: a leaked one would leave every later mine queued
+        // until its deadline.
+        let server = Server::bind(
+            "127.0.0.1:0",
+            vec![
+                Snapshot::new("t4", table4()),
+                Snapshot::new(PANICKING_SNAPSHOT, table4()),
+            ],
+            ServeConfig {
+                max_concurrent: 1,
+                default_deadline: None,
+            },
+        )
+        .expect("bind");
+        let addr = server.local_addr().to_string();
+        // Distinct seeds miss the carve cache, so every query mines; even
+        // seeds query the panicking snapshot.
+        let request = |seed: usize| {
+            let snapshot = if seed.is_multiple_of(2) {
+                PANICKING_SNAPSHOT
+            } else {
+                "t4"
+            };
+            format!(
+                "{{\"snapshot\":\"{snapshot}\",\"min_sup\":2,\"pfct\":0.6,\
+                 \"fcp_method\":\"exact\",\"seed\":{seed},\"deadline_ms\":20000}}"
+            )
+        };
+        let reference = query_once(&addr, &request(101), Duration::from_secs(5)).unwrap();
+        assert_eq!(get(&reference, "status").as_deref(), Some("ok"));
+        let check = |seed: usize, resp: &str| {
+            if seed.is_multiple_of(2) {
+                assert_eq!(get(resp, "status").as_deref(), Some("error"), "{resp}");
+                assert!(resp.contains("query panicked: injected panic"), "{resp}");
+            } else {
+                assert_eq!(get(resp, "status").as_deref(), Some("ok"), "{resp}");
+                assert_eq!(payload(resp), payload(&reference));
+            }
+        };
+        let handles: Vec<_> = (1..=8)
+            .map(|seed| {
+                let (addr, body) = (addr.clone(), request(seed));
+                std::thread::spawn(move || query_once(&addr, &body, Duration::from_secs(30)))
+            })
+            .collect();
+        for (seed, h) in (1..=8).zip(handles) {
+            check(seed, &h.join().unwrap().unwrap());
+        }
+        // A connection whose query panicked keeps serving.
+        let mut client = Client::connect(&addr, Duration::from_secs(5)).unwrap();
+        for seed in 10..14 {
+            check(seed, &client.request(&request(seed)).unwrap());
+        }
+        assert_eq!(*lock(&server.inner.admission.permits), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn poisoned_server_locks_keep_serving() {
+        let server = start_server();
+        let inner = Arc::clone(&server.inner);
+        let poisoner = std::thread::spawn(move || {
+            let _permits = inner.admission.permits.lock().unwrap();
+            let _results = inner.results.lock().unwrap();
+            let _snapshots = inner.snapshots.write().unwrap();
+            panic!("poison every server lock");
+        });
+        assert!(poisoner.join().is_err());
+        let inner = &server.inner;
+        assert!(inner.admission.permits.is_poisoned());
+        assert!(inner.results.is_poisoned() && inner.snapshots.is_poisoned());
+        let addr = server.local_addr().to_string();
+        let ask = |pfct: f64| {
+            let body = format!(
+                "{{\"snapshot\":\"t4\",\"min_sup\":2,\"pfct\":{pfct},\"fcp_method\":\"exact\"}}"
+            );
+            query_once(&addr, &body, Duration::from_secs(5)).unwrap()
+        };
+        let mined = ask(0.6);
+        assert_eq!(get(&mined, "status").as_deref(), Some("ok"), "{mined}");
+        let carved = ask(0.7);
+        assert_eq!(get(&carved, "carved").as_deref(), Some("true"), "{carved}");
+        server.install(Snapshot::new("t4", table4()));
+        assert!(server.invalidate("t4"));
+        assert_eq!(server.snapshots().len(), 1);
         server.shutdown();
     }
 }

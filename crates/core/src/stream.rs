@@ -594,6 +594,30 @@ mod tests {
     }
 
     #[test]
+    fn exact_mode_mines_a_window_with_a_wide_sparse_family() {
+        // The hub's family has thirty events, more than the dense 2^m
+        // loop accepted; its support lattice is small, so ExactOnly
+        // evaluates it.
+        let db = crate::exact::tests::wide_sparse_db();
+        let pfct = 0.1;
+        let hub = [Item(0)];
+        let tids = db.tidset_of_itemset(&hub).into_bitmap();
+        let events = crate::events::NonClosureEvents::build(&db, &tids, (1..31).map(Item), 2);
+        let pr_f = pfim::frequent_probability(&db, &hub, 2);
+        let (lo, hi) = events.fcp_bounds(pr_f, 48, Some(pfct));
+        assert!(
+            events.len() > 24 && hi > pfct && hi - lo > 1e-6,
+            "bounds decide {{h}}"
+        );
+        let mut sm = StreamMiner::new(db.dictionary().clone(), exact_config(14, 2, pfct));
+        for t in db.transactions() {
+            sm.advance(t.clone(), &mut NullSink);
+        }
+        assert_eq!(sm.results(), fresh(&sm).as_slice());
+        assert!(sm.results().iter().any(|p| p.items == hub));
+    }
+
+    #[test]
     fn rebuild_ablation_mines_identically() {
         let stream: Vec<UncertainTransaction> = (0u32..12)
             .map(|s| tx(&[s % 3, (s * 2 + 1) % 3], f64::from(s % 9 + 1) / 10.0))

@@ -78,7 +78,9 @@ pub enum Phase {
     EventBuild,
     /// FCP lower/upper bound evaluation (Lemma 4.4).
     BoundEval,
-    /// Exact FCP by inclusion–exclusion over the event family.
+    /// Exact FCP by inclusion–exclusion over the event family's support
+    /// lattice. Also holds the walks the `Auto` planner abandons at its
+    /// work budget before it samples the family instead.
     FcpExact,
     /// Sampled FCP via the Karp–Luby `ApproxFCP` FPRAS.
     FcpSample,

@@ -1,9 +1,10 @@
 //! Exact union probabilities via the inclusion–exclusion principle.
 //!
 //! `Pr(∪A_i) = Σ_∅≠S⊆[m] (−1)^{|S|+1} Pr(∩_{i∈S} A_i)` — `2^m − 1` terms,
-//! usable when the event family is small. In the miner this computes the
-//! frequent non-closed probability exactly when an itemset has few
-//! co-occurring extension items, avoiding sampling noise entirely.
+//! usable when the event family is small. This dense loop is the
+//! reference: a caller that knows which joints are zero can skip them
+//! and, visiting the rest in the same ascending-bitmask order, reproduce
+//! its sum bit for bit (the miner's support-lattice enumeration does).
 
 /// Maximum family size accepted by [`exact_union_probability`]; beyond this
 /// the `2^m` term count is impractical and callers should fall back to the

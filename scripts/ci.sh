@@ -71,6 +71,20 @@ run test -s "$densedir/default.out"
 run diff "$densedir/default.out" "$densedir/nocache.out"
 run diff "$densedir/default.out" "$densedir/threads2.out"
 
+# Sparse byte-diff smoke: at min_sup 3 the smoke set's families are wide
+# but their support lattices are small, so the default planner evaluates
+# every one exactly. Nothing samples, and one worker or two must print
+# the same bytes.
+echo "==> sparse smoke (two threads vs one, nothing sampled)"
+for t in 1 2; do
+    cargo run --release -q -p pfcim --bin pfcim -- "$profdir/smoke.dat" \
+        --min-sup 3 --threads "$t" --stats >"$densedir/sparse$t.out" 2>"$densedir/sparse$t.err"
+done
+run test -s "$densedir/sparse1.out"
+run diff "$densedir/sparse1.out" "$densedir/sparse2.out"
+run grep -q 'fcp_sampled=0 ' "$densedir/sparse1.err"
+run grep -q 'fcp_sampled=0 ' "$densedir/sparse2.err"
+
 # Live-telemetry smoke: launch a deliberately slowed mine with the
 # scrape endpoint on an ephemeral port, curl /metrics, /healthz and
 # /flight while the run is still alive, render one frame of the

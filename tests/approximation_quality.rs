@@ -119,3 +119,94 @@ fn empty_families_short_circuit() {
     assert_eq!(r.fcp, 0.75);
     assert_eq!(r.samples, 0);
 }
+
+/// The `(ε, δ)` contract of sampled mode (the paper's FPRAS guarantee):
+/// at `N = ⌈4k·ln(2/δ)/ε²⌉` draws, each estimator misses the exact union
+/// by more than `ε` relative at most a `δ` share of the time. Checked over
+/// many seeds on small families, with the lattice union as ground truth,
+/// against `δ` plus a three-sigma binomial margin.
+#[test]
+fn sampled_estimators_keep_the_epsilon_delta_contract() {
+    use pfcim::core::events::MAX_EXACT_TERMS;
+    use pfcim::core::{approx_fcp_adaptive, approx_fcp_chunked};
+    use pfcim::prob::karp_luby_union_with_samples;
+    const EPSILON: f64 = 0.2;
+    const DELTA: f64 = 0.2;
+    const SEEDS: u64 = 100;
+    let min_sup = 2;
+    // Small families with overlapping events and a union worth
+    // estimating, each checked against the possible-world oracle.
+    let mut families = Vec::new();
+    for db_seed in 0..40 {
+        let db = random_utdb(db_seed, 10, 5);
+        for x in [vec![Item(0)], vec![Item(1)], vec![Item(0), Item(2)]] {
+            let events = family(&db, &x, min_sup);
+            let union = events
+                .lattice_union(MAX_EXACT_TERMS, u64::MAX)
+                .expect("small family");
+            if events.len() < 2 || union < 0.05 {
+                continue;
+            }
+            let pr_f = pfcim::pfim::frequent_probability(&db, &x, min_sup);
+            let by_worlds = exact_fcp_by_worlds(&db, &x, min_sup);
+            assert!(((pr_f - union).max(0.0) - by_worlds).abs() < 1e-9);
+            families.push((events, pr_f, union));
+        }
+        if families.len() >= 6 {
+            break;
+        }
+    }
+    assert!(families.len() >= 6, "not enough overlapping families");
+    let trials = families.len() as f64 * SEEDS as f64;
+    let allowed = DELTA * trials + 3.0 * (trials * DELTA * (1.0 - DELTA)).sqrt();
+    let misses = |estimate: &dyn Fn(&NonClosureEvents, f64, u64) -> f64| {
+        let mut misses = 0usize;
+        for (events, pr_f, union) in &families {
+            for seed in 0..SEEDS {
+                let fnc = estimate(events, *pr_f, seed);
+                misses += ((fnc - union).abs() > EPSILON * union) as usize;
+            }
+        }
+        misses as f64
+    };
+    let fixed = misses(&|events, pr_f, seed| {
+        approx_fcp(
+            events,
+            pr_f,
+            EPSILON,
+            DELTA,
+            &mut SmallRng::seed_from_u64(seed),
+        )
+        .fnc
+    });
+    let chunked =
+        misses(&|events, pr_f, seed| approx_fcp_chunked(events, pr_f, EPSILON, DELTA, 3, seed).fnc);
+    let adaptive = misses(&|events, pr_f, seed| {
+        approx_fcp_adaptive(
+            events,
+            pr_f,
+            EPSILON,
+            DELTA,
+            &mut SmallRng::seed_from_u64(seed),
+        )
+        .fnc
+    });
+    for (name, m) in [
+        ("fixed", fixed),
+        ("chunked", chunked),
+        ("adaptive", adaptive),
+    ] {
+        assert!(
+            m <= allowed,
+            "{name}: {m} misses in {trials} trials, allowed {allowed:.1}"
+        );
+    }
+    // The check has power: eight draws per estimate miss far more often.
+    let starved = misses(&|events, _, seed| {
+        karp_luby_union_with_samples(events, 8, &mut SmallRng::seed_from_u64(seed)).estimate
+    });
+    assert!(
+        starved > allowed,
+        "8 draws: {starved} misses, allowed {allowed:.1}"
+    );
+}

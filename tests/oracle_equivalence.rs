@@ -133,6 +133,59 @@ fn auto_method_matches_exact_method() {
     }
 }
 
+/// A sparse Quest base (300 rows, 60 items, ~4 per row, p ~ U[0.6, 0.9]):
+/// at min_sup 3 many checked itemsets have wider families than the
+/// default `exact_cap`, but their support lattices are small.
+fn sparse_quest_base() -> UncertainDatabase {
+    let quest = pfcim::utdb::gen::QuestConfig {
+        num_transactions: 300,
+        avg_transaction_len: 4.0,
+        avg_pattern_len: 2.0,
+        num_items: 60,
+        num_patterns: 20,
+        ..pfcim::utdb::gen::QuestConfig::t20i10_p40(300)
+    };
+    let mut rng = SmallRng::seed_from_u64(44);
+    pfcim::utdb::assign_uniform_probabilities(&quest.generate(&mut rng), 0.6, 0.9, &mut rng)
+}
+
+#[test]
+fn auto_is_exact_on_a_sparse_base_with_wide_families() {
+    let db = sparse_quest_base();
+    let exact = mine(&db, &exact_cfg(3, 0.8));
+    // The base is a real test of the planner: some emitted itemset has
+    // more events than the default exact_cap.
+    let widest = exact
+        .results
+        .iter()
+        .map(|p| {
+            let tids = db.tidset_of_itemset(&p.items).into_bitmap();
+            let ext = (0..db.num_items() as u32)
+                .map(Item)
+                .filter(|i| !p.items.contains(i));
+            pfcim::core::NonClosureEvents::build(&db, &tids, ext, 3).len()
+        })
+        .max()
+        .unwrap_or(0);
+    assert!(widest > 8, "widest emitted family has {widest} events");
+    for exact_cap in [8, 0] {
+        let cfg = MinerConfig::new(3, 0.8).with_fcp_method(FcpMethod::Auto { exact_cap });
+        let auto = mine(&db, &cfg);
+        assert_eq!(auto.stats.fcp_sampled, 0, "exact_cap={exact_cap}");
+        assert_eq!(auto.stats.samples_drawn, 0);
+        assert_eq!(auto.stats.fcp_exact, exact.stats.fcp_exact);
+        assert_eq!(auto.results.len(), exact.results.len());
+        for (a, e) in auto.results.iter().zip(&exact.results) {
+            assert_eq!(a.items, e.items, "exact_cap={exact_cap}");
+            assert_eq!(a.fcp.to_bits(), e.fcp.to_bits(), "{:?}", a.items);
+            assert_eq!(
+                a.frequent_probability.to_bits(),
+                e.frequent_probability.to_bits()
+            );
+        }
+    }
+}
+
 #[test]
 fn results_never_include_subthreshold_itemsets() {
     // Soundness half that holds for every configuration, sampled or not:
