@@ -10,8 +10,8 @@
 //! ```
 //!
 //! `--threads`, `--event-cache` and `--telemetry` are the shared flags
-//! of [`pfcim_core::args`] and parse identically across `pfcim`, `repro`
-//! and `bench-report`; the environment fallbacks (`PFCIM_THREADS`,
+//! of [`pfcim_core::args`] and parse identically in `pfcim` and
+//! `repro`; the environment fallbacks (`PFCIM_THREADS`,
 //! `PFCIM_EVENT_CACHE`) are documented there. The experiment drivers
 //! build their configs internally, so the flags are forwarded through
 //! those variables; without an explicit `--threads` (or a pre-set
@@ -65,7 +65,7 @@ fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         // --threads / --event-cache / --telemetry parse identically
-        // across pfcim, repro and bench-report (pfcim_core::args).
+        // in pfcim and repro (pfcim_core::args).
         if common.accept(&arg, || argv.next())? {
             continue;
         }

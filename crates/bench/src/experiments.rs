@@ -14,10 +14,10 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use pfcim_core::{Algorithm, FcpMethod, Miner, MinerConfig, MiningOutcome, ShardableSink, Variant};
+use pfcim_core::{FcpMethod, Miner, MinerConfig, MiningOutcome, Variant};
 use utdb::UncertainDatabase;
 
-use crate::datasets::{abs_min_sup, BenchDataset, DatasetKind, Scale};
+use crate::datasets::{abs_min_sup, DatasetKind, Scale};
 use crate::observe::Observe;
 use crate::report::{phase_cells, phase_headers, secs, Table};
 
@@ -422,95 +422,6 @@ pub fn fig12(scale: Scale, budget: Duration, obs: &mut Observe) -> Vec<Table> {
     )
 }
 
-/// Algorithms covered by the `bench-report` benchmark matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BenchAlgo {
-    /// The full MPFCI miner (DFS, all prunings).
-    Mpfci,
-    /// The breadth-first variant.
-    Bfs,
-    /// The Naive baseline.
-    Naive,
-}
-
-impl BenchAlgo {
-    /// All benchmarked algorithms, paper order.
-    pub const ALL: [BenchAlgo; 3] = [BenchAlgo::Mpfci, BenchAlgo::Bfs, BenchAlgo::Naive];
-
-    /// Display name used in `BENCH_*.json` entries.
-    pub fn name(self) -> &'static str {
-        match self {
-            BenchAlgo::Mpfci => "MPFCI",
-            BenchAlgo::Bfs => "MPFCI-BFS",
-            BenchAlgo::Naive => "Naive",
-        }
-    }
-
-    /// The paper-faithful timing configuration for this algorithm
-    /// (`ApproxFCP`-only checking, like the figure drivers).
-    pub fn config(self, min_sup: usize) -> MinerConfig {
-        let cfg = MinerConfig::new(min_sup, 0.8).with_fcp_method(FcpMethod::ApproxOnly);
-        match self {
-            BenchAlgo::Bfs => cfg.with_variant(Variant::Bfs),
-            BenchAlgo::Mpfci | BenchAlgo::Naive => cfg,
-        }
-    }
-
-    /// Run the algorithm under `sink`.
-    pub fn run<S: ShardableSink>(
-        self,
-        db: &UncertainDatabase,
-        cfg: &MinerConfig,
-        sink: &mut S,
-    ) -> MiningOutcome {
-        let miner = Miner::new(db).config(cfg.clone());
-        match self {
-            BenchAlgo::Naive => miner.algorithm(Algorithm::Naive).sink(sink).run(),
-            BenchAlgo::Mpfci | BenchAlgo::Bfs => miner.sink(sink).run(),
-        }
-    }
-}
-
-/// One cell of the benchmark matrix.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchCell {
-    /// Dataset of the cell.
-    pub dataset: BenchDataset,
-    /// Algorithm of the cell.
-    pub algo: BenchAlgo,
-    /// Relative minimum support.
-    pub min_sup_rel: f64,
-}
-
-/// The dataset × algorithm matrix `bench-report` runs: every algorithm
-/// on the paper's two datasets — at the dataset's default `min_sup`
-/// plus the top of its sweep grid — and on the high-probability dataset
-/// whose uniform band makes incremental frequentness-DP downdates
-/// trivially cheap to verify. `smoke` keeps only each dataset's default
-/// support level (the search does real work there at every scale) — the
-/// cheap configuration `scripts/ci.sh` gates on; the smoke gate asserts
-/// `dp_incremental > 0` on both the Gaussian paper cells and `HighProb`.
-pub fn bench_cells(smoke: bool) -> Vec<BenchCell> {
-    let mut cells = Vec::new();
-    for dataset in BenchDataset::ALL {
-        let rels: Vec<f64> = if smoke {
-            vec![dataset.default_min_sup_rel()]
-        } else {
-            dataset.bench_min_sup_rels()
-        };
-        for min_sup_rel in rels {
-            for algo in BenchAlgo::ALL {
-                cells.push(BenchCell {
-                    dataset,
-                    algo,
-                    min_sup_rel,
-                });
-            }
-        }
-    }
-    cells
-}
-
 /// Table VII — the feature matrix of the algorithm variants.
 pub fn table7() -> Table {
     let mut table = Table::new(
@@ -615,45 +526,6 @@ mod tests {
                 assert!(fci <= fi, "closed compresses: {line}");
                 assert!(pfci <= pfi, "probabilistic closed compresses: {line}");
             }
-        }
-    }
-
-    #[test]
-    fn bench_matrix_covers_datasets_and_algorithms() {
-        let full = bench_cells(false);
-        let smoke = bench_cells(true);
-        assert!(smoke.len() < full.len());
-        for cells in [&full, &smoke] {
-            for dataset in BenchDataset::ALL {
-                assert!(cells.iter().any(|c| c.dataset == dataset));
-            }
-            for algo in BenchAlgo::ALL {
-                assert!(cells.iter().any(|c| c.algo == algo));
-            }
-        }
-        // Cell identities are unique.
-        let mut keys: Vec<String> = full
-            .iter()
-            .map(|c| format!("{}/{}/{}", c.dataset.name(), c.algo.name(), c.min_sup_rel))
-            .collect();
-        keys.sort();
-        keys.dedup();
-        assert_eq!(keys.len(), full.len());
-    }
-
-    #[test]
-    fn bench_algo_configs_run_to_completion() {
-        let db = DatasetKind::Mushroom.uncertain(Scale::Tiny, 42);
-        let ms = abs_min_sup(&db, DatasetKind::Mushroom.default_min_sup_rel());
-        for algo in BenchAlgo::ALL {
-            let cfg = algo.config(ms).with_time_budget(FAST);
-            let outcome = algo.run(&db, &cfg, &mut pfcim_core::NullSink);
-            assert!(!outcome.timed_out, "{} timed out", algo.name());
-            assert!(
-                outcome.stats.nodes_visited > 0,
-                "{} did no work",
-                algo.name()
-            );
         }
     }
 

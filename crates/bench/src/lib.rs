@@ -5,23 +5,18 @@
 //! configurable scale; [`experiments`] contains one driver per figure
 //! (Fig. 5 through Fig. 12) plus the tables; [`report`] renders rows as
 //! aligned text and CSV; [`observe`] threads optional JSONL tracing and
-//! progress heartbeats through the drivers; [`benchreport`] defines the
-//! versioned `BENCH_<label>.json` performance reports and their
-//! regression comparator. The `repro` binary wires the figure drivers to
-//! a CLI, the `bench-report` binary runs the dataset × algorithm matrix
-//! behind `scripts/bench.sh`, and the Criterion benches under `benches/`
+//! progress heartbeats through the drivers. The `repro` binary wires the
+//! figure drivers to a CLI, and the Criterion benches under `benches/`
 //! wrap the same drivers at reduced scale.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod benchreport;
 pub mod datasets;
 pub mod experiments;
 pub mod observe;
 pub mod report;
 
-pub use benchreport::{BenchEntry, BenchReport};
 pub use datasets::{BenchDataset, DatasetKind, Scale};
 pub use observe::Observe;
 pub use report::Table;

@@ -4,7 +4,10 @@
 //! Prometheus text output must pass its own linter, and attaching the
 //! profiler must not change what is mined.
 
-use pfcim_bench::benchreport::JsonValue;
+#[path = "common/json.rs"]
+mod json;
+
+use json::JsonValue;
 use pfcim_bench::datasets::{abs_min_sup, BenchDataset, Scale};
 use pfcim_core::{lint_prometheus, HistogramSink, Miner, MinerConfig, NullSink, SpanProfiler, Tee};
 

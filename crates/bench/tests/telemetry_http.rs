@@ -7,7 +7,10 @@
 
 use std::time::{Duration, Instant};
 
-use pfcim_bench::benchreport::JsonValue;
+#[path = "common/json.rs"]
+mod json;
+
+use json::JsonValue;
 use pfcim_bench::datasets::{abs_min_sup, BenchDataset, Scale};
 use pfcim_core::{http_get, lint_prometheus, Miner, MinerConfig, MinerSink, ShardableSink, Tee};
 use pfcim_core::{Telemetry, TelemetryConfig};

@@ -1,6 +1,6 @@
 //! The shared command-line surface of the `pfcim` binaries.
 //!
-//! `pfcim`, `repro` and `bench-report` accept the same three
+//! `pfcim` and `repro` accept the same three
 //! cross-cutting flags. They are parsed here — one implementation, one
 //! spelling, one error message — so the binaries cannot drift:
 //!

@@ -62,8 +62,8 @@ pub struct SharedEventCache {
     hits: AtomicU64,
     misses: AtomicU64,
     /// Lock acquisitions that found the shard mutex already held (the
-    /// `try_lock` probe failed and the caller had to block). The measure
-    /// behind the sharded-vs-single A/B in `BENCH_serve.json`.
+    /// `try_lock` probe failed and the caller had to block). Exported as
+    /// `pfcim_serve_snapshot_cache_contended_total`.
     contended: AtomicU64,
 }
 

@@ -125,9 +125,7 @@ pub struct MinerConfig {
     /// [`DEFAULT_DP_ERROR_TOL`] (`1e-9`), matching the differential
     /// proptest's downdate-vs-rebuild agreement bound.
     ///
-    /// This is the *only* DP-refusal knob. The removed legacy
-    /// `dp_stability` floor maps onto this axis via the deprecated
-    /// [`MinerConfig::with_dp_stability`] setter.
+    /// This is the *only* DP-refusal knob.
     pub dp_error_tol: f64,
     /// Capacity of the evaluator's per-run bound-input (event-table)
     /// cache, keyed by tid-set fingerprint. `0` disables memoization.
@@ -212,58 +210,12 @@ impl MinerConfig {
         self
     }
 
-    /// **Deprecated spelling, still honored.** Former numerical-stability
-    /// floor of the incremental frequentness DP: the downdate used to be
-    /// refused whenever the a-priori amplification factor
-    /// `(p/(1-p))^(min_sup-1)` exceeded `1 / dp_stability`. The downdate
-    /// now refuses on a *measured* per-element error bound instead, so
-    /// this setter maps the floor onto the tolerance axis
-    /// (`dp_error_tol = 1e-11 / dp_stability`) — a stricter legacy
-    /// setting still means a stricter downdate. The mapping is computed
-    /// as `DEFAULT_DP_ERROR_TOL * (1e-2 / dp_stability)` so the old
-    /// default `1e-2` lands *bit-exactly* on the new default `1e-9`
-    /// (the naive f64 division is one ULP off). Later calls to
-    /// [`MinerConfig::with_dp_error_tol`] override it (last call wins).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `dp_stability` lies in `(0, 1]`.
-    #[deprecated(
-        since = "0.9.0",
-        note = "dp_stability collapsed into dp_error_tol; use with_dp_error_tol \
-                (this setter maps the legacy floor as 1e-11 / dp_stability)"
-    )]
-    pub fn with_dp_stability(mut self, dp_stability: f64) -> Self {
-        assert!(
-            dp_stability > 0.0 && dp_stability <= 1.0,
-            "dp_stability must lie in (0, 1]"
-        );
-        static LEGACY_NOTE: std::sync::Once = std::sync::Once::new();
-        let tol = DEFAULT_DP_ERROR_TOL * (1e-2 / dp_stability);
-        LEGACY_NOTE.call_once(|| {
-            eprintln!(
-                "pfcim: note: legacy dp_stability knob used; mapped to dp_error_tol = {tol:e}"
-            );
-        });
-        self.dp_error_tol = tol;
-        self
-    }
-
     /// Set the measured-error tolerance of the incremental DP downdate
     /// (see [`MinerConfig::dp_error_tol`]). `0.0` accepts only provably
     /// exact downdates.
     pub fn with_dp_error_tol(mut self, dp_error_tol: f64) -> Self {
         self.dp_error_tol = dp_error_tol;
         self
-    }
-
-    /// The error tolerance the miners pass to the downdate. Since the
-    /// legacy `dp_stability` knob collapsed into the tolerance axis this
-    /// is simply [`MinerConfig::dp_error_tol`]; the accessor stays so
-    /// call sites read as "the resolved knob" and survive any future
-    /// re-layering.
-    pub fn effective_dp_error_tol(&self) -> f64 {
-        self.dp_error_tol
     }
 
     /// Set the evaluator's bound-input cache capacity (`0` disables; see
@@ -397,45 +349,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dp_stability")]
-    fn legacy_setter_rejects_nonpositive_dp_stability() {
-        #[allow(deprecated)]
-        let _ = MinerConfig::new(2, 0.8).with_dp_stability(0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "dp_error_tol")]
     fn validate_rejects_negative_dp_error_tol() {
         MinerConfig::new(2, 0.8).with_dp_error_tol(-1e-9).validate();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn effective_dp_error_tol_resolution() {
-        // Defaults: the identity.
-        let c = MinerConfig::new(2, 0.8);
-        assert_eq!(c.effective_dp_error_tol(), DEFAULT_DP_ERROR_TOL);
-        // An explicit tolerance is taken verbatim.
-        let c = MinerConfig::new(2, 0.8).with_dp_error_tol(0.0);
-        assert_eq!(c.effective_dp_error_tol(), 0.0);
-        // The legacy spelling maps onto the axis; a later explicit
-        // tolerance overrides it (last call wins).
-        let c = MinerConfig::new(2, 0.8)
-            .with_dp_stability(1.0)
-            .with_dp_error_tol(1e-6);
-        assert_eq!(c.effective_dp_error_tol(), 1e-6);
-        // The mapping preserves strict/loose intent: old default 1e-2
-        // lands bit-exactly on the new default tolerance (the mapping is
-        // anchored there; other points are exact only up to an ULP).
-        let unchanged = MinerConfig::new(2, 0.8).with_dp_stability(1e-2);
-        assert_eq!(unchanged.effective_dp_error_tol(), DEFAULT_DP_ERROR_TOL);
-        let strict = MinerConfig::new(2, 0.8).with_dp_stability(1.0);
-        let got = strict.effective_dp_error_tol();
-        assert!((got - 1e-11).abs() < 1e-6 * 1e-11, "{got}");
-        let loose = MinerConfig::new(2, 0.8).with_dp_stability(1e-6);
-        let got = loose.effective_dp_error_tol();
-        assert!((got - 1e-5).abs() < 1e-6 * 1e-5, "{got}");
-        assert!(strict.effective_dp_error_tol() < loose.effective_dp_error_tol());
     }
 
     #[test]

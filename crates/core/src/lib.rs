@@ -34,9 +34,7 @@
 //! run traces and per-phase wall-clock timings. The [`metrics`] module turns
 //! that event stream into quantitative distributions — log-bucketed
 //! latency/size [`Histogram`]s in a mergeable, JSON-exportable
-//! [`MetricsRegistry`] — and (behind the `track-alloc` feature)
-//! `memtrack` adds global allocation accounting for peak-memory
-//! reporting.
+//! [`MetricsRegistry`].
 //!
 //! # Quick start
 //!
@@ -67,8 +65,6 @@ pub mod events;
 pub mod exact;
 pub mod fcp;
 pub mod hardness;
-#[cfg(feature = "track-alloc")]
-pub mod memtrack;
 pub mod metrics;
 pub mod miner;
 pub mod mpfci;

@@ -236,7 +236,7 @@ impl fmt::Display for Histogram {
 }
 
 /// The fixed summary statistics of one [`Histogram`] — what JSON
-/// snapshots and `BENCH_*.json` reports carry.
+/// snapshots carry.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HistogramSummary {
     /// Number of recorded values.

@@ -171,22 +171,6 @@ impl<'a> Miner<'a> {
         self
     }
 
-    /// Legacy numerical-stability floor of the incremental frequentness
-    /// DP, mapped onto the tolerance axis (see
-    /// [`MinerConfig::with_dp_stability`]). Prefer
-    /// [`Miner::dp_error_tol`], which gates on a measured error bound.
-    #[deprecated(
-        since = "0.9.0",
-        note = "dp_stability collapsed into dp_error_tol; use Miner::dp_error_tol"
-    )]
-    pub fn dp_stability(mut self, dp_stability: f64) -> Self {
-        #[allow(deprecated)]
-        {
-            self.config = self.config.with_dp_stability(dp_stability);
-        }
-        self
-    }
-
     /// Measured-error tolerance for incremental DP downdates (see
     /// [`MinerConfig::dp_error_tol`]). `0.0` accepts only exact downdates.
     pub fn dp_error_tol(mut self, dp_error_tol: f64) -> Self {
@@ -362,18 +346,6 @@ mod tests {
         assert_eq!(cfg.fcp_method, FcpMethod::ExactOnly);
         assert_eq!(cfg.dp_error_tol, 1e-7);
         assert_eq!(cfg.event_cache_capacity, 7);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_dp_stability_builder_maps_onto_the_tolerance() {
-        let db = table2();
-        let cfg = Miner::new(&db).dp_stability(0.5).to_config();
-        // Mapped as DEFAULT_DP_ERROR_TOL * (1e-2 / s) — anchored so the
-        // old default lands bit-exactly on the new one; elsewhere the
-        // nominal 1e-11 / s is exact only up to an ULP.
-        let got = cfg.dp_error_tol;
-        assert!((got - 2e-11).abs() < 1e-6 * 2e-11, "{got}");
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //! deconvolution (with a log-domain fallback for high-amplification
 //! factors — see [`TailDp::try_remove`]); a removal is refused (and the
 //! row rebuilt) only when that bound exceeds the configured tolerance
-//! ([`MinerConfig::dp_error_tol`], resolved through
-//! [`MinerConfig::effective_dp_error_tol`]) or after `MAX_DOWNDATES`
+//! ([`MinerConfig::dp_error_tol`]) or after `MAX_DOWNDATES`
 //! accumulated removals. The [`crate::stats::KernelStats`] counters
 //! report which path each node took. Both paths are deterministic
 //! functions of the node alone, so parallel fan-out stays bit-identical
@@ -510,7 +509,7 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
         self.evaluator.stats.freq_prob_evals += 1;
 
         let kernel = &mut self.evaluator.kernel;
-        let tol = cfg.effective_dp_error_tol();
+        let tol = cfg.dp_error_tol;
         let dropped = &self.dropped;
         let tids_ref = &tids;
         let esup_ref = &mut esup;
@@ -844,28 +843,6 @@ mod tests {
             assert!((a.frequent_probability - b.frequent_probability).abs() < 1e-12);
             assert!((a.fcp - b.fcp).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn legacy_dp_stability_knob_still_gates() {
-        // The deprecated dp_stability spelling maps onto the tolerance
-        // axis (strict 1.0 → 1e-11, loose 1e-6 → 1e-5); the result set
-        // must be identical across the whole sweep.
-        let db = table4();
-        let base = MinerConfig::new(2, 0.6).with_fcp_method(crate::config::FcpMethod::ExactOnly);
-        let reference = dfs(&db, &base);
-        for stability in [1.0, 1e-2, 1e-6] {
-            #[allow(deprecated)]
-            let cfg = base.clone().with_dp_stability(stability);
-            let out = dfs(&db, &cfg);
-            assert_eq!(out.itemsets(), reference.itemsets(), "{stability}");
-        }
-        // A later explicit dp_error_tol overrides the mapped legacy knob.
-        #[allow(deprecated)]
-        let cfg = base.clone().with_dp_stability(1e-6).with_dp_error_tol(0.0);
-        assert_eq!(cfg.effective_dp_error_tol(), 0.0);
-        let out = dfs(&db, &cfg);
-        assert_eq!(out.itemsets(), reference.itemsets());
     }
 
     #[test]

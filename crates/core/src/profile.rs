@@ -24,7 +24,6 @@
 //! large runs by recording only every N-th node span (phases inside a
 //! sampled-out node are skipped with it).
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -57,7 +56,7 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Stable snake_case name used in exported traces and rollups.
+    /// Stable snake_case name used in exported traces.
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::Run => "run",
@@ -105,8 +104,7 @@ impl Span {
 }
 
 /// A [`MinerSink`] that records hierarchical timing spans (see the
-/// module docs) and exports them as a Chrome trace-event JSON file or a
-/// per-kind rollup.
+/// module docs) and exports them as a Chrome trace-event JSON file.
 #[derive(Debug)]
 pub struct SpanProfiler {
     enabled: bool,
@@ -242,18 +240,6 @@ impl SpanProfiler {
         } else {
             format!("shard-{track}")
         }
-    }
-
-    /// Total seconds and span count per span-kind name, for BENCH
-    /// report rollups (`span_s`).
-    pub fn rollup(&self) -> BTreeMap<String, (f64, u64)> {
-        let mut out: BTreeMap<String, (f64, u64)> = BTreeMap::new();
-        for s in &self.spans {
-            let e = out.entry(s.kind.name().to_owned()).or_insert((0.0, 0));
-            e.0 += s.dur_ns as f64 / 1e9;
-            e.1 += 1;
-        }
-        out
     }
 
     /// Export every recorded span as Chrome trace-event JSON — an object
@@ -595,27 +581,6 @@ mod tests {
             assert!(prof.stack.is_empty());
             assert_nested(prof.spans());
         }
-    }
-
-    #[test]
-    fn rollup_totals_match_span_sums() {
-        let db = table4();
-        let mut prof = SpanProfiler::new();
-        Miner::new(&db).min_sup(2).pfct(0.8).sink(&mut prof).run();
-        let rollup = prof.rollup();
-        let node_count: u64 = prof
-            .spans()
-            .iter()
-            .filter(|s| s.kind == SpanKind::Node)
-            .count() as u64;
-        assert_eq!(rollup["node"].1, node_count);
-        assert_eq!(rollup["run"].1, 1);
-        let run_span = prof
-            .spans()
-            .iter()
-            .find(|s| s.kind == SpanKind::Run)
-            .unwrap();
-        assert!((rollup["run"].0 - run_span.dur_ns as f64 / 1e9).abs() < 1e-12);
     }
 
     #[test]

@@ -76,6 +76,11 @@ use crate::telemetry::Telemetry;
 /// must not convince the server to allocate gigabytes.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
+/// Cap on a frame's length line, newline included: room for any `usize`
+/// in decimal plus `\r\n`. A peer that sends digits and never a newline
+/// is cut off here instead of growing the line buffer without limit.
+pub const MAX_LENGTH_LINE_BYTES: u64 = 32;
+
 /// How many completed outcomes the server retains for the monotonicity
 /// carve, most recently used first.
 pub const RESULT_CACHE_CAPACITY: usize = 16;
@@ -337,8 +342,18 @@ pub fn write_frame<W: Write>(w: &mut W, body: &str) -> io::Result<()> {
 /// boundary.
 pub fn read_frame<R: BufRead>(r: &mut R) -> io::Result<Option<String>> {
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    let read = r
+        .by_ref()
+        .take(MAX_LENGTH_LINE_BYTES)
+        .read_line(&mut line)?;
+    if read == 0 {
         return Ok(None);
+    }
+    if read as u64 == MAX_LENGTH_LINE_BYTES && !line.ends_with('\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame length line exceeds {MAX_LENGTH_LINE_BYTES} bytes"),
+        ));
     }
     let len: usize = line.trim().parse().map_err(|_| {
         io::Error::new(
@@ -1156,6 +1171,81 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), None);
         let mut bad = BufReader::new(&b"999999999999\nx"[..]);
         assert!(read_frame(&mut bad).is_err());
+    }
+
+    /// A reader that counts the bytes taken from it.
+    struct Counting<R> {
+        inner: R,
+        taken: u64,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.taken += n as u64;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn an_endless_length_line_is_refused_at_the_cap() {
+        // One byte of buffer, so what the reader hands out is exactly
+        // what read_frame consumed.
+        let mut r = BufReader::with_capacity(
+            1,
+            Counting {
+                inner: io::repeat(b'7').take(1 << 20),
+                taken: 0,
+            },
+        );
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            r.get_ref().taken <= MAX_LENGTH_LINE_BYTES,
+            "{}",
+            r.get_ref().taken
+        );
+        // A length line that fills the cap exactly still parses.
+        let width = MAX_LENGTH_LINE_BYTES as usize - 1;
+        let padded = format!("{:0>width$}\nhello", 5);
+        let mut r = BufReader::new(padded.as_bytes());
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("hello"));
+    }
+
+    /// JSON punctuation, digits, literal letters, an escape, a newline and
+    /// non-ASCII bytes: the byte soup a hostile peer could send.
+    const SOUP: &[u8] = b"{}[]\":,\\ -+.0123456789eEtrufalsn\n\r\xc3\xa9\xff";
+
+    fn soup(picks: Vec<u8>) -> Vec<u8> {
+        picks
+            .into_iter()
+            .map(|i| SOUP[i as usize % SOUP.len()])
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes give a frame or an error, never a panic.
+        #[test]
+        fn read_frame_never_panics(
+            picks in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            let bytes = soup(picks);
+            let mut r = BufReader::new(&bytes[..]);
+            while let Ok(Some(_)) = read_frame(&mut r) {}
+        }
+
+        /// Arbitrary text gives pairs or an error, never a panic.
+        #[test]
+        fn parse_flat_object_never_panics(
+            picks in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            let text = String::from_utf8_lossy(&soup(picks)).into_owned();
+            let _ = parse_flat_object(&text);
+            // Behind a brace the soup reaches the key/value parser.
+            let _ = parse_flat_object(&format!("{{{text}"));
+        }
     }
 
     #[test]

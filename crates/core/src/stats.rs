@@ -93,8 +93,7 @@ impl fmt::Display for MinerStats {
 /// observability tests assert it), while these are substrate-level
 /// measurements with no per-event representation. They travel on
 /// [`crate::MiningOutcome::kernel`] and surface through the
-/// [`crate::metrics::HistogramSink`] snapshot and the `BENCH_*.json`
-/// schema (v3).
+/// [`crate::metrics::HistogramSink`] snapshot, `--stats` and `/metrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Frequentness DP rows derived by downdating the parent row

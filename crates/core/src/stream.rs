@@ -335,7 +335,7 @@ impl StreamMiner {
             self.rows.resize_with(num_items, || None);
         }
         let mut affected: BTreeSet<u32> = BTreeSet::new();
-        let tol = self.config.miner.effective_dp_error_tol();
+        let tol = self.config.miner.dp_error_tol;
         for change in &changes {
             for &item in change.transaction().items() {
                 affected.insert(item.0);

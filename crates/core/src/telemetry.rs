@@ -28,9 +28,8 @@
 //!   address is returned.
 //!
 //! The sampler reads ~40 relaxed atomics per tick, so the overhead at
-//! the default 100 ms interval is far below the 5 % budget the bench
-//! harness enforces (see `bench-report`'s telemetry-overhead
-//! measurement).
+//! the default 100 ms interval is far below the 5 % budget that
+//! `crates/bench/tests/perf_gates.rs` enforces.
 //!
 //! ```
 //! use pfcim_core::prelude::*;

@@ -18,7 +18,18 @@ use std::path::Path;
 
 use crate::database::UncertainDatabase;
 use crate::item::{Item, ItemDictionary};
+use crate::tidset::TidSet;
 use crate::transaction::UncertainTransaction;
+
+/// Largest per-item index [`parse_dat`] will build, in 64-bit words.
+///
+/// The database keeps one tid-set per item id from `0` to the largest id
+/// named, each a header plus `⌈rows / 64⌉` bitmap words, so a single
+/// line naming item `4294967295` would otherwise ask for hundreds of
+/// gigabytes and abort the process. The cap is 1 GiB of index. The
+/// paper-scale datasets need about 20k words (T20I10D30KP40: 40 items
+/// over 30,000 rows; Mushroom: 119 items over 8,124 rows).
+pub const MAX_INDEX_WORDS: u64 = 1 << 27;
 
 /// Errors raised when parsing a `.dat` file.
 #[derive(Debug)]
@@ -65,6 +76,8 @@ impl From<io::Error> for ParseError {
 /// ```
 pub fn parse_dat(text: &str) -> Result<UncertainDatabase, ParseError> {
     let mut transactions = Vec::new();
+    // The largest item id seen and the line that named it first.
+    let mut widest: Option<(u32, usize)> = None;
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -81,6 +94,9 @@ pub fn parse_dat(text: &str) -> Result<UncertainDatabase, ParseError> {
                 line: line_no,
                 reason: format!("invalid item id {token:?}"),
             })?;
+            if widest.is_none_or(|(max, _)| id > max) {
+                widest = Some((id, line_no));
+            }
             items.push(Item(id));
         }
         if items.is_empty() {
@@ -103,6 +119,21 @@ pub fn parse_dat(text: &str) -> Result<UncertainDatabase, ParseError> {
             });
         }
         transactions.push(UncertainTransaction::new(items, probability));
+    }
+    if let Some((id, line)) = widest {
+        let header = (std::mem::size_of::<TidSet>() / 8) as u64;
+        let per_item = transactions.len().div_ceil(64) as u64 + header;
+        let words = (u64::from(id) + 1).saturating_mul(per_item);
+        if words > MAX_INDEX_WORDS {
+            return Err(ParseError::Malformed {
+                line,
+                reason: format!(
+                    "item id {id} over {} rows needs a {words}-word item index \
+                     (cap {MAX_INDEX_WORDS})",
+                    transactions.len()
+                ),
+            });
+        }
     }
     Ok(UncertainDatabase::new(transactions, ItemDictionary::new()))
 }
@@ -183,6 +214,25 @@ mod tests {
         assert!(parse_dat("1 2 : nope\n").is_err());
         assert!(parse_dat("1 2 : 0\n").is_err());
         assert!(parse_dat("1 2 : 1.5\n").is_err());
+    }
+
+    #[test]
+    fn rejects_an_item_id_whose_index_would_not_fit() {
+        // Each of these would ask for far more than MAX_INDEX_WORDS.
+        let err = parse_dat("4294967295\n").unwrap_err();
+        assert!(
+            matches!(err, ParseError::Malformed { line: 1, .. }),
+            "{err}"
+        );
+        let err = parse_dat("1 2 : 0.5\n# note\n3 200000000 : 0.5\n").unwrap_err();
+        assert!(
+            matches!(err, ParseError::Malformed { line: 3, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("200000000"), "{err}");
+        // A wide but affordable id still parses.
+        let db = parse_dat("1 100000 : 0.5\n2\n").unwrap();
+        assert_eq!(db.num_items(), 100_001);
     }
 
     #[test]

@@ -16,13 +16,19 @@ run cargo test --workspace -q
 # Threads matrix: re-run the workspace suite with the differential
 # tests pinned to an explicit sequential + parallel worker pair.
 run env PFCIM_TEST_THREADS=1,4 cargo test --workspace -q
-# Tolerance sweep: strict/default/loose dp_error_tol — plus the
-# deprecated with_dp_stability spelling, which now maps onto the same
-# tolerance axis — must mine identical result sets on a larger Gaussian
-# database than the default in-test size exercises.
+# Tolerance sweep: strict/default/loose dp_error_tol must mine identical
+# result sets on a larger Gaussian database than the default in-test
+# size exercises.
 run env PFCIM_SWEEP_ROWS=200 cargo test --release -q -p pfcim --test dp_tol_sweep
-run cargo test -p pfcim-core --features track-alloc -q
+# Wall-clock gates (ignored in debug builds): live telemetry costs at
+# most 5% of a mine, and the incremental stream walk beats re-mining
+# every step and forced row rebuilds. One test thread, so no gate times
+# another's workers.
+run cargo test --release -q -p pfcim-bench --test perf_gates -- --test-threads=1
 run cargo check --benches --workspace
+# Kernel micro-benches (bitmap intersection, incremental-vs-full DP):
+# run once to prove they execute; timings are informational here.
+run cargo bench -q -p pfcim-bench --bench micro_kernels
 # Benchmark self-test: perfbench/ is a package of its own that reaches
 # the program only through its public crates, so an API change it relies
 # on (approx_fcp, EventTable, ...) fails here, not at the next benchmark
@@ -31,9 +37,6 @@ run cargo test --release --manifest-path perfbench/Cargo.toml
 # Rustdoc must build clean: broken intra-doc links and malformed
 # examples are errors, not warnings.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
-# Benchmark pipeline smoke: run the tiny matrix end-to-end and
-# schema-validate the emitted BENCH_smoke.json.
-run scripts/bench.sh --smoke
 # Profiler/exporter smoke: mine the high-probability dataset under the
 # span profiler and check both artifacts exist and carry the expected
 # markers. Deep validation (JSON round-trip, span nesting, Prometheus
@@ -96,6 +99,9 @@ run grep -q 'fcp_sampled=0 ' "$densedir/sparse2.err"
 teldir=target/telemetry-smoke
 rm -rf "$teldir"
 mkdir -p "$teldir"
+# Create the log before the background launch opens it, so the polling
+# loop below cannot race the redirect and fail on a missing file.
+: >"$teldir/run.err"
 echo "==> telemetry smoke (live scrape while mining)"
 PFCIM_TELEMETRY_TEST_SLOW_NODE_US=20000 \
     cargo run --release -q -p pfcim --bin pfcim -- "$profdir/smoke.dat" \
@@ -145,6 +151,7 @@ run grep -q '"record":"sample"' "$teldir/flight_panic.jsonl"
 servedir=target/serve-smoke
 rm -rf "$servedir"
 mkdir -p "$servedir"
+: >"$servedir/serve.err"
 echo "==> service smoke (pfcim serve + concurrent queries)"
 cargo run --release -q -p pfcim --bin pfcim -- serve 127.0.0.1:0 \
     "$profdir/smoke.dat" >/dev/null 2>"$servedir/serve.err" &

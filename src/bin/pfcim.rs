@@ -142,7 +142,7 @@ fn parse_args() -> Result<Args, String> {
     }
     while let Some(arg) = argv.next() {
         // --threads / --event-cache / --telemetry parse identically
-        // across pfcim, repro and bench-report (pfcim_core::args).
+        // in pfcim and repro (pfcim_core::args).
         if common.accept(&arg, || argv.next())? {
             continue;
         }

@@ -1,9 +1,9 @@
 //! Tolerance-sweep regression gate: the mined result set must be
 //! invariant across the whole `dp_error_tol` range (strict `0.0` through
-//! loose `1e-5`) and across the legacy `dp_stability` knob. The
-//! tolerance only decides *how* a node's frequentness row is obtained
-//! (downdate vs rebuild), never *what* is mined — any divergence means
-//! downdate error leaked into a pruning or acceptance decision.
+//! loose `1e-5`). The tolerance only decides *how* a node's frequentness
+//! row is obtained (downdate vs rebuild), never *what* is mined — any
+//! divergence means downdate error leaked into a pruning or acceptance
+//! decision.
 //!
 //! `scripts/ci.sh` runs this with `PFCIM_SWEEP_ROWS` raised so the sweep
 //! also covers a database large enough for deep downdate chains.
@@ -121,13 +121,7 @@ fn result_set_is_invariant_across_the_tolerance_sweep() {
         let loose = mine(&db, base.clone().with_dp_error_tol(1e-5));
         assert_same_results(&reference, &loose, 1e-5, "loose tol=1e-5");
 
-        // Legacy dp_stability spellings map onto the tolerance axis via
-        // the deprecated setter and must mine identically.
-        #[allow(deprecated)]
-        let legacy_strict = mine(&db, base.clone().with_dp_stability(1.0));
-        assert_same_results(&reference, &legacy_strict, 1e-9, "legacy strict");
-        #[allow(deprecated)]
-        let legacy_loose = mine(&db, base.clone().with_dp_stability(1e-6));
-        assert_same_results(&reference, &legacy_loose, 1e-5, "legacy loose");
+        let strict = mine(&db, base.clone().with_dp_error_tol(1e-11));
+        assert_same_results(&reference, &strict, 1e-9, "strict tol=1e-11");
     }
 }

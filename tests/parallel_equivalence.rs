@@ -94,8 +94,9 @@ fn table4() -> UncertainDatabase {
 /// Small generated Gaussian-probability databases: one sparse (Quest),
 /// one dense (Mushroom-like). Sized so exact-mode checking stays fast.
 fn generated() -> Vec<(UncertainDatabase, usize)> {
-    // min_sup is kept high so every non-closure family stays within the
-    // 24-event inclusion–exclusion cap (the test forces ExactOnly).
+    // min_sup is kept high so every non-closure family's support lattice
+    // stays within the 2^24-term inclusion–exclusion cap (the test forces
+    // ExactOnly).
     let mut rng = SmallRng::seed_from_u64(11);
     let quest = QuestConfig::t20i10_p40(80).generate(&mut rng);
     let quest = assign_gaussian_probabilities(&quest, 0.8, 0.1, &mut rng);
