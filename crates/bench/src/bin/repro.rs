@@ -207,10 +207,10 @@ fn main() -> ExitCode {
     if obs.runs > 0 {
         println!(
             "\n# aggregate over {} mining runs: {}",
-            obs.runs, obs.totals
+            obs.runs, obs.ledger.stats
         );
-        if !obs.timers.is_empty() {
-            println!("# phases: {}", obs.timers);
+        if !obs.ledger.timers.is_empty() {
+            println!("# phases: {}", obs.ledger.timers);
         }
     }
     match obs.finish() {

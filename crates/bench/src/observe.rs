@@ -4,10 +4,9 @@
 //! can enable — a [`JsonlSink`] (`--trace FILE.jsonl`), a
 //! [`ProgressSink`] (`--progress`) and a [`HistogramSink`]
 //! (`--metrics FILE.json`) — and mediates every mining run the
-//! drivers perform. It also accumulates the [`MinerStats`] and
-//! [`PhaseTimers`] totals of those runs, so a written trace can be
-//! reconciled event-by-event against the printed aggregates
-//! ([`Observe::finish`]).
+//! drivers perform. It also sums those runs' [`RunLedger`]s, so a
+//! written trace can be reconciled event-by-event against the printed
+//! aggregates ([`Observe::finish`]).
 
 use std::fs::File;
 use std::io::{self, BufWriter};
@@ -15,8 +14,8 @@ use std::path::{Path, PathBuf};
 
 use pfcim_core::trace::parse_jsonl;
 use pfcim_core::{
-    Algorithm, CountingSink, HistogramSink, JsonlSink, KernelStats, Miner, MinerConfig, MinerStats,
-    MiningOutcome, PhaseTimers, ProgressSink, Tee, TelemetrySink,
+    Algorithm, HistogramSink, JsonlSink, Miner, MinerConfig, MiningOutcome, ProgressSink,
+    RunLedger, Tee, TelemetrySink,
 };
 use utdb::UncertainDatabase;
 
@@ -29,11 +28,7 @@ pub struct Observe {
     metrics: Option<(PathBuf, HistogramSink)>,
     telemetry: Option<TelemetrySink>,
     /// Counter totals over every mediated run.
-    pub totals: MinerStats,
-    /// Kernel-counter totals over every mediated run.
-    pub kernel: KernelStats,
-    /// Phase-timer totals over every mediated run.
-    pub timers: PhaseTimers,
+    pub ledger: RunLedger,
     /// Number of mining runs mediated.
     pub runs: u64,
 }
@@ -135,14 +130,12 @@ impl Observe {
     }
 
     fn absorb(&mut self, outcome: &MiningOutcome) {
-        self.totals.absorb(&outcome.stats);
-        self.kernel.absorb(&outcome.kernel);
-        self.timers.absorb(&outcome.timers);
+        self.ledger.absorb(&outcome.ledger());
         self.runs += 1;
     }
 
     /// Flush the trace (if any) and reconcile it: parse the file back,
-    /// aggregate its events through a [`CountingSink`], and compare
+    /// aggregate its events through a [`RunLedger`], and compare
     /// against the live totals. Returns a human-readable summary, or an
     /// error describing the flush/parse/reconciliation failure.
     ///
@@ -178,14 +171,14 @@ impl Observe {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("re-reading {}: {e}", path.display()))?;
         let events = parse_jsonl(&text).map_err(|e| e.to_string())?;
-        let mut counted = CountingSink::default();
+        let mut counted = RunLedger::default();
         for event in &events {
             counted.absorb_event(event);
         }
-        if counted.stats != self.totals {
+        if counted.stats != self.ledger.stats {
             return Err(format!(
                 "trace/stats mismatch:\n  trace  {}\n  stats  {}",
-                counted.stats, self.totals
+                counted.stats, self.ledger.stats
             ));
         }
         summaries.push(format!(
@@ -193,7 +186,7 @@ impl Observe {
             path.display(),
             events.len(),
             self.runs,
-            self.totals
+            self.ledger.stats
         ));
         Ok(Some(summaries.join("\n# ")))
     }

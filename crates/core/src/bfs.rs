@@ -61,8 +61,7 @@ pub(crate) fn run_bfs<S: MinerSink + ?Sized>(
                     break 'levels;
                 }
             }
-            evaluator.stats.nodes_visited += 1;
-            evaluator.sink.node_entered(items.len());
+            evaluator.observe().node_entered(items.len());
             if let Some(pfci) = evaluator.evaluate(items, tids, *pr_f) {
                 results.push(pfci);
             }
@@ -79,7 +78,7 @@ pub(crate) fn run_bfs<S: MinerSink + ?Sized>(
                 if last <= a_items[k - 1] {
                     continue;
                 }
-                evaluator.kernel.bitmap_words += a_tids.word_len() as u64;
+                evaluator.ledger.kernel.bitmap_words += a_tids.word_len() as u64;
                 let joint = a_tids.and(b_tids);
                 if let Some(pr_f) = qualify(db, config, &joint, &mut evaluator) {
                     let mut items = a_items.clone();
@@ -91,28 +90,7 @@ pub(crate) fn run_bfs<S: MinerSink + ?Sized>(
         level = next;
     }
 
-    let Evaluator {
-        stats,
-        kernel,
-        timers,
-        audit,
-        sink,
-        carve_ceiling,
-        ..
-    } = evaluator;
-    results.sort_by(|a, b| a.items.cmp(&b.items));
-    let outcome = MiningOutcome {
-        results,
-        stats,
-        kernel,
-        timers,
-        audit,
-        elapsed: start.elapsed(),
-        timed_out,
-        carve_ceiling,
-    };
-    sink.run_finished(&outcome);
-    outcome
+    evaluator.finish(results, start.elapsed(), timed_out)
 }
 
 /// Probabilistic-frequency qualification shared with the DFS miner's
@@ -129,42 +107,29 @@ fn qualify<S: MinerSink + ?Sized>(
         return None;
     }
     if cfg.pruning.chernoff_hoeffding {
-        let refuted = timed(
-            Phase::ChBound,
-            &mut evaluator.timers,
-            &mut *evaluator.sink,
-            || {
-                let esup: f64 = tids.iter().map(|tid| db.probability(tid)).sum();
-                hoeffding_infrequent(esup, count, cfg.min_sup, cfg.pfct)
-            },
-        );
+        let refuted = timed(Phase::ChBound, &mut evaluator.observe(), || {
+            let esup: f64 = tids.iter().map(|tid| db.probability(tid)).sum();
+            hoeffding_infrequent(esup, count, cfg.min_sup, cfg.pfct)
+        });
         if refuted {
-            evaluator.stats.ch_pruned += 1;
-            evaluator.sink.prune_fired(PruneKind::ChernoffHoeffding);
+            evaluator
+                .observe()
+                .prune_fired(PruneKind::ChernoffHoeffding);
             return None;
         }
     }
-    evaluator.stats.freq_prob_evals += 1;
-    let kernel = &mut evaluator.kernel;
-    let pr_f = timed(
-        Phase::FreqDp,
-        &mut evaluator.timers,
-        &mut *evaluator.sink,
-        || {
-            kernel.dp_recomputed += 1;
-            let mut dp = TailDp::new(cfg.min_sup);
-            for tid in tids.iter() {
-                dp.push(db.probability(tid));
-            }
-            dp.tail()
-        },
-    );
-    evaluator.audit.record(DpDecision::FreshLevel);
-    evaluator.sink.dp_decision(DpDecision::FreshLevel);
-    evaluator.sink.freq_prob_evaluated(pr_f);
+    let mut sink = evaluator.observe();
+    let pr_f = timed(Phase::FreqDp, &mut sink, || {
+        let mut dp = TailDp::new(cfg.min_sup);
+        for tid in tids.iter() {
+            dp.push(db.probability(tid));
+        }
+        dp.tail()
+    });
+    sink.dp_decision(DpDecision::FreshLevel);
+    sink.freq_prob_evaluated(pr_f);
     if pr_f <= cfg.pfct {
-        evaluator.stats.freq_pruned += 1;
-        evaluator.sink.prune_fired(PruneKind::FreqProb);
+        sink.prune_fired(PruneKind::FreqProb);
         return None;
     }
     Some(pr_f)

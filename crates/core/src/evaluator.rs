@@ -4,10 +4,12 @@
 //! surviving itemsets through this checking phase — the "Bounding" and
 //! "Checking" stages of the paper's Bounding–Pruning–Checking framework.
 //!
-//! The evaluator owns the run's observability state: the [`MinerStats`]
-//! counters, the [`PhaseTimers`] and the [`MinerSink`] the run was
-//! started with. It is generic over the sink type, so runs with the
-//! default [`crate::trace::NullSink`] monomorphize every callback away.
+//! The evaluator owns the run's observability state: its [`RunLedger`]
+//! and the [`MinerSink`] the run was started with. Every event goes
+//! through [`Evaluator::observe`], which counts it once in the ledger
+//! and forwards it to the sink. It is generic over the sink type, so runs
+//! with the default [`crate::trace::NullSink`] monomorphize the
+//! forwarding away.
 //!
 //! It also owns the run's bound-input memoization handle: a
 //! [`SharedEventCache`] of [`EventTable`]s keyed by tid-set fingerprint.
@@ -27,6 +29,7 @@
 //! serve queries and stream steps. Capacity `0` turns both off.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use prob::dnf::required_samples;
 use rand::rngs::SmallRng;
@@ -37,9 +40,9 @@ use crate::cache::SharedEventCache;
 use crate::config::{FcpMethod, MinerConfig};
 use crate::events::{BoundTier, EventTable, NonClosureEvents, TailMemo, MAX_EXACT_TERMS};
 use crate::fcp::{approx_fcp_adaptive_traced, approx_fcp_chunked_traced, approx_fcp_traced};
-use crate::result::Pfci;
-use crate::stats::{DpAudit, KernelStats, MinerStats, PhaseTimers};
-use crate::trace::{timed, FcpEvalKind, MinerSink, Phase, PruneKind};
+use crate::result::{MiningOutcome, Pfci};
+use crate::stats::RunLedger;
+use crate::trace::{timed, FcpEvalKind, MinerSink, Phase, PruneKind, Tee};
 
 /// Bounds intervals narrower than this are treated as decided without a
 /// full FCP computation (the paper's "upper bound equals lower bound").
@@ -66,10 +69,9 @@ pub(crate) struct Evaluator<'a, S: MinerSink + ?Sized> {
     pub db: &'a UncertainDatabase,
     pub cfg: &'a MinerConfig,
     pub rng: SmallRng,
-    pub stats: MinerStats,
-    pub kernel: KernelStats,
-    pub timers: PhaseTimers,
-    pub audit: DpAudit,
+    /// The run's counters; filled through [`Evaluator::observe`], except
+    /// the kernel's cache and bitmap counters, which have no event.
+    pub ledger: RunLedger,
     pub sink: &'a mut S,
     /// Largest threshold below which this run's emitted probabilities
     /// are provably independent of `cfg.pfct` — the per-evaluator piece
@@ -99,10 +101,7 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
             db,
             cfg,
             rng: SmallRng::seed_from_u64(cfg.seed),
-            stats: MinerStats::default(),
-            kernel: KernelStats::default(),
-            timers: PhaseTimers::default(),
-            audit: DpAudit::default(),
+            ledger: RunLedger::default(),
             sink,
             carve_ceiling: 1.0,
             threads: cfg.effective_threads(),
@@ -110,6 +109,21 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
                 .unwrap_or_else(|| Arc::new(SharedEventCache::new(cfg.event_cache_capacity))),
             tail_memo: TailMemo::new(db, cfg.min_sup),
         }
+    }
+
+    /// The sink every event of the run goes to: the ledger counts it,
+    /// then the user's sink sees it.
+    pub fn observe(&mut self) -> Tee<&mut RunLedger, &mut S> {
+        Tee(&mut self.ledger, &mut *self.sink)
+    }
+
+    /// Close the run: its outcome from the ledger, announced to the sink.
+    pub fn finish(self, results: Vec<Pfci>, elapsed: Duration, timed_out: bool) -> MiningOutcome {
+        let outcome = self
+            .ledger
+            .into_outcome(results, elapsed, timed_out, self.carve_ceiling);
+        self.sink.run_finished(&outcome);
+        outcome
     }
 
     /// Build the non-closure event family of `items` over every other item
@@ -124,24 +138,28 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
         let num_items = db.num_items() as u32;
         let cache = &self.cache;
         let tail_memo = &mut self.tail_memo;
-        let kernel = &mut self.kernel;
-        timed(Phase::EventBuild, &mut self.timers, &mut *self.sink, || {
+        let mut sink = Tee(&mut self.ledger, &mut *self.sink);
+        let (events, hit) = timed(Phase::EventBuild, &mut sink, || {
             if cache.capacity() == 0 {
                 let ext = (0..num_items)
                     .map(Item)
                     .filter(|i| items.binary_search(i).is_err());
-                return NonClosureEvents::build(db, tids, ext, min_sup);
+                return (NonClosureEvents::build(db, tids, ext, min_sup), None);
             }
             let fingerprint = tids.fingerprint();
             if let Some(table) = cache.get(fingerprint, tids, min_sup) {
-                kernel.bound_cache_hits += 1;
-                return table.family_excluding(items);
+                return (table.family_excluding(items), Some(true));
             }
-            kernel.bound_cache_misses += 1;
             let table = Arc::new(EventTable::build_memoized(db, tids, tail_memo));
             cache.insert(fingerprint, Arc::clone(&table));
-            table.family_excluding(items)
-        })
+            (table.family_excluding(items), Some(false))
+        });
+        match hit {
+            Some(true) => self.ledger.kernel.bound_cache_hits += 1,
+            Some(false) => self.ledger.kernel.bound_cache_misses += 1,
+            None => {}
+        }
+        events
     }
 
     /// Full checking phase for an itemset that survived all prunings:
@@ -152,15 +170,14 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
         let (lo, hi) = if self.cfg.pruning.probability_bounds {
             let max_pairwise = self.cfg.max_pairwise_events;
             let pfct = self.cfg.pfct;
-            let (lo, hi, tier) = timed(Phase::BoundEval, &mut self.timers, &mut *self.sink, || {
+            let (lo, hi, tier) = timed(Phase::BoundEval, &mut self.observe(), || {
                 events.fcp_bounds_explained(pr_f, max_pairwise, Some(pfct))
             });
-            self.sink.fcp_bounds(lo, hi);
+            self.observe().fcp_bounds(lo, hi);
             if hi <= pfct {
                 // Rejections are monotone in the threshold: no ceiling
                 // constraint needed for the carve.
-                self.stats.bound_rejected += 1;
-                self.sink.prune_fired(PruneKind::BoundReject);
+                self.observe().prune_fired(PruneKind::BoundReject);
                 return None;
             }
             if lo > pfct && hi - lo < DECIDED_WIDTH {
@@ -171,8 +188,7 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
                 if tier != BoundTier::EmptyFamily {
                     self.carve_ceiling = self.carve_ceiling.min(lo);
                 }
-                self.stats.bound_decided += 1;
-                self.sink.fcp_evaluated(FcpEvalKind::BoundDecided, 0);
+                self.observe().fcp_evaluated(FcpEvalKind::BoundDecided, 0);
                 return Some(self.emit(items, (lo + hi) / 2.0, pr_f));
             }
             if tier == BoundTier::CheapEarly {
@@ -194,32 +210,8 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
     /// `ApproxFCP`, no bounds.
     pub fn evaluate_naive(&mut self, items: &[Item], tids: &TidBitmap, pr_f: f64) -> Option<Pfci> {
         let events = self.events_for(items, tids);
-        let r = if self.threads > 1 {
-            let call_seed = self.rng.next_u64();
-            approx_fcp_chunked_traced(
-                &events,
-                pr_f,
-                self.cfg.epsilon,
-                self.cfg.delta,
-                self.threads,
-                call_seed,
-                &mut self.timers,
-                &mut *self.sink,
-            )
-        } else {
-            approx_fcp_traced(
-                &events,
-                pr_f,
-                self.cfg.epsilon,
-                self.cfg.delta,
-                &mut self.rng,
-                &mut self.timers,
-                &mut *self.sink,
-            )
-        };
-        self.stats.fcp_sampled += 1;
-        self.stats.samples_drawn += r.samples as u64;
-        (r.fcp > self.cfg.pfct).then(|| self.emit(items, r.fcp, pr_f))
+        let fcp = self.sample_fcp(&events, pr_f, false);
+        (fcp > self.cfg.pfct).then(|| self.emit(items, fcp, pr_f))
     }
 
     /// The checking phase's planner: the exact lattice union within a
@@ -237,13 +229,12 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
             }
         };
         let union = max_work.and_then(|max_work| {
-            timed(Phase::FcpExact, &mut self.timers, &mut *self.sink, || {
+            timed(Phase::FcpExact, &mut self.observe(), || {
                 events.lattice_union(MAX_EXACT_TERMS, max_work)
             })
         });
         if let Some(union) = union {
-            self.stats.fcp_exact += 1;
-            self.sink.fcp_evaluated(FcpEvalKind::Exact, 0);
+            self.observe().fcp_evaluated(FcpEvalKind::Exact, 0);
             (pr_f - union).clamp(0.0, pr_f)
         } else {
             assert!(
@@ -251,52 +242,35 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
                 "exact inclusion-exclusion over {} events exceeds {MAX_EXACT_TERMS} non-zero terms",
                 events.len()
             );
-            let r = if matches!(self.cfg.fcp_method, FcpMethod::ApproxAdaptive) {
-                // The stopping rule is inherently sequential (each draw
-                // decides whether to continue), so it never chunks.
-                approx_fcp_adaptive_traced(
-                    events,
-                    pr_f,
-                    self.cfg.epsilon,
-                    self.cfg.delta,
-                    &mut self.rng,
-                    &mut self.timers,
-                    &mut *self.sink,
-                )
-            } else if self.threads > 1 {
-                let call_seed = self.rng.next_u64();
-                approx_fcp_chunked_traced(
-                    events,
-                    pr_f,
-                    self.cfg.epsilon,
-                    self.cfg.delta,
-                    self.threads,
-                    call_seed,
-                    &mut self.timers,
-                    &mut *self.sink,
-                )
-            } else {
-                approx_fcp_traced(
-                    events,
-                    pr_f,
-                    self.cfg.epsilon,
-                    self.cfg.delta,
-                    &mut self.rng,
-                    &mut self.timers,
-                    &mut *self.sink,
-                )
-            };
-            self.stats.fcp_sampled += 1;
-            self.stats.samples_drawn += r.samples as u64;
-            r.fcp
+            let adaptive = matches!(self.cfg.fcp_method, FcpMethod::ApproxAdaptive);
+            self.sample_fcp(events, pr_f, adaptive)
         }
+    }
+
+    /// `ApproxFCP`: the stopping rule when `adaptive` (inherently
+    /// sequential — each draw decides whether to continue — so it never
+    /// chunks), otherwise the fixed budget, chunked over the run's
+    /// threads when it has more than one.
+    fn sample_fcp(&mut self, events: &NonClosureEvents, pr_f: f64, adaptive: bool) -> f64 {
+        let (epsilon, delta, threads) = (self.cfg.epsilon, self.cfg.delta, self.threads);
+        let rng = &mut self.rng;
+        let sink = &mut Tee(&mut self.ledger, &mut *self.sink);
+        let r = if adaptive {
+            approx_fcp_adaptive_traced(events, pr_f, epsilon, delta, rng, sink)
+        } else if threads > 1 {
+            let call_seed = rng.next_u64();
+            approx_fcp_chunked_traced(events, pr_f, epsilon, delta, threads, call_seed, sink)
+        } else {
+            approx_fcp_traced(events, pr_f, epsilon, delta, rng, sink)
+        };
+        r.fcp
     }
 
     /// Build the accepted result and notify the sink — the single point
     /// every success path funnels through, so `result_emitted` events are
     /// one-to-one with returned results.
     fn emit(&mut self, items: &[Item], fcp: f64, pr_f: f64) -> Pfci {
-        self.sink.result_emitted(items, fcp);
+        self.observe().result_emitted(items, fcp);
         Pfci {
             items: items.to_vec(),
             fcp,
@@ -315,12 +289,12 @@ mod tests {
     const PR_F: f64 = 0.95;
 
     /// The planner's FCP for `events` under `cfg`, and the run's counters.
-    fn plan(cfg: &MinerConfig, events: &NonClosureEvents) -> (f64, MinerStats) {
+    fn plan(cfg: &MinerConfig, events: &NonClosureEvents) -> (f64, crate::stats::MinerStats) {
         let db = UncertainDatabase::parse_symbolic(&[("a", 0.5)]);
         let mut sink = NullSink;
         let mut evaluator = Evaluator::new(&db, cfg, &mut sink, None);
         let fcp = evaluator.compute_fcp(events, PR_F);
-        (fcp, evaluator.stats)
+        (fcp, evaluator.ledger.stats)
     }
 
     #[test]

@@ -16,7 +16,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::events::NonClosureEvents;
 use crate::par;
-use crate::stats::PhaseTimers;
 use crate::trace::{timed, FcpEvalKind, MinerSink, Phase};
 
 /// Result of one `ApproxFCP` run.
@@ -149,7 +148,6 @@ pub fn approx_fcp_chunked(
 
 /// [`approx_fcp_chunked`] as an instrumented phase; see
 /// [`approx_fcp_traced`].
-#[allow(clippy::too_many_arguments)] // mirrors approx_fcp_traced + (threads, call_seed)
 pub fn approx_fcp_chunked_traced<S: MinerSink + ?Sized>(
     events: &NonClosureEvents,
     pr_f: f64,
@@ -157,30 +155,27 @@ pub fn approx_fcp_chunked_traced<S: MinerSink + ?Sized>(
     delta: f64,
     threads: usize,
     call_seed: u64,
-    timers: &mut PhaseTimers,
     sink: &mut S,
 ) -> ApproxFcpResult {
-    let r = timed(Phase::FcpSample, timers, &mut *sink, || {
+    let r = timed(Phase::FcpSample, &mut *sink, || {
         approx_fcp_chunked(events, pr_f, epsilon, delta, threads, call_seed)
     });
     sink.fcp_evaluated(FcpEvalKind::Sampled, r.samples as u64);
     r
 }
 
-/// [`approx_fcp`] as an instrumented phase: the sampling pass is timed
-/// into `timers` under [`Phase::FcpSample`] and the sink receives the
-/// phase bracket plus one [`FcpEvalKind::Sampled`] event carrying the
-/// samples drawn.
+/// [`approx_fcp`] as an instrumented phase: the sink receives the
+/// [`Phase::FcpSample`] bracket around the sampling pass plus one
+/// [`FcpEvalKind::Sampled`] event carrying the samples drawn.
 pub fn approx_fcp_traced<R: Rng, S: MinerSink + ?Sized>(
     events: &NonClosureEvents,
     pr_f: f64,
     epsilon: f64,
     delta: f64,
     rng: &mut R,
-    timers: &mut PhaseTimers,
     sink: &mut S,
 ) -> ApproxFcpResult {
-    let r = timed(Phase::FcpSample, timers, &mut *sink, || {
+    let r = timed(Phase::FcpSample, &mut *sink, || {
         approx_fcp(events, pr_f, epsilon, delta, rng)
     });
     sink.fcp_evaluated(FcpEvalKind::Sampled, r.samples as u64);
@@ -195,10 +190,9 @@ pub fn approx_fcp_adaptive_traced<R: Rng, S: MinerSink + ?Sized>(
     epsilon: f64,
     delta: f64,
     rng: &mut R,
-    timers: &mut PhaseTimers,
     sink: &mut S,
 ) -> ApproxFcpResult {
-    let r = timed(Phase::FcpSample, timers, &mut *sink, || {
+    let r = timed(Phase::FcpSample, &mut *sink, || {
         approx_fcp_adaptive(events, pr_f, epsilon, delta, rng)
     });
     sink.fcp_evaluated(FcpEvalKind::Sampled, r.samples as u64);
@@ -208,6 +202,8 @@ pub fn approx_fcp_adaptive_traced<R: Rng, S: MinerSink + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::RunLedger;
+    use crate::trace::{RecordingSink, Tee};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use utdb::{Item, UncertainDatabase};
@@ -291,21 +287,20 @@ mod tests {
         let db = table2();
         let (events, pr_f) = family(&db, "a b c", 2);
         let plain = approx_fcp(&events, pr_f, 0.05, 0.05, &mut SmallRng::seed_from_u64(7));
-        let mut timers = PhaseTimers::default();
-        let mut rec = crate::trace::RecordingSink::default();
+        let mut sink = Tee(RunLedger::default(), RecordingSink::default());
         let traced = approx_fcp_traced(
             &events,
             pr_f,
             0.05,
             0.05,
             &mut SmallRng::seed_from_u64(7),
-            &mut timers,
-            &mut rec,
+            &mut sink,
         );
         assert_eq!(plain.fcp, traced.fcp);
         assert_eq!(plain.samples, traced.samples);
-        assert_eq!(timers.count(Phase::FcpSample), 1);
-        assert!(rec.events.iter().any(|e| matches!(
+        assert_eq!(sink.0.timers.count(Phase::FcpSample), 1);
+        assert_eq!(sink.0.stats.samples_drawn, traced.samples as u64);
+        assert!(sink.1.events.iter().any(|e| matches!(
             e,
             crate::trace::TraceEvent::FcpEval {
                 method: FcpEvalKind::Sampled,
@@ -373,14 +368,12 @@ mod tests {
         let db = table2();
         let (events, pr_f) = family(&db, "a b c", 2);
         let plain = approx_fcp_chunked(&events, pr_f, 0.1, 0.1, 3, 77);
-        let mut timers = PhaseTimers::default();
-        let mut rec = crate::trace::RecordingSink::default();
-        let traced =
-            approx_fcp_chunked_traced(&events, pr_f, 0.1, 0.1, 3, 77, &mut timers, &mut rec);
+        let mut sink = Tee(RunLedger::default(), RecordingSink::default());
+        let traced = approx_fcp_chunked_traced(&events, pr_f, 0.1, 0.1, 3, 77, &mut sink);
         assert_eq!(plain.fcp.to_bits(), traced.fcp.to_bits());
         assert_eq!(plain.samples, traced.samples);
-        assert_eq!(timers.count(Phase::FcpSample), 1);
-        assert!(rec.events.iter().any(|e| matches!(
+        assert_eq!(sink.0.timers.count(Phase::FcpSample), 1);
+        assert!(sink.1.events.iter().any(|e| matches!(
             e,
             crate::trace::TraceEvent::FcpEval {
                 method: FcpEvalKind::Sampled,

@@ -102,13 +102,13 @@ pub use profile::{Span, SpanId, SpanKind, SpanProfiler};
 pub use result::{MiningOutcome, PatternDelta, Pfci};
 pub use serve::{Client, ServeConfig, Server};
 pub use snapshot::{Snapshot, DEFAULT_SNAPSHOT_CACHE_CAPACITY};
-pub use stats::{DpAudit, KernelStats, MinerStats, PhaseTimers, TimedStats};
+pub use stats::{DpAudit, KernelStats, MinerStats, PhaseTimers, RunLedger, TimedStats};
 pub use stream::{StreamConfig, StreamMiner, StreamStats, StreamStep};
 pub use telemetry::{
     http_get, FlightRecorder, Telemetry, TelemetryConfig, TelemetryEvent, TelemetryEventKind,
     TelemetrySample, TelemetrySink, TelemetryState, WordRing,
 };
 pub use trace::{
-    parse_jsonl, CountingSink, DpDecision, FcpEvalKind, JsonlSink, MinerSink, NullSink, Phase,
-    ProgressSink, PruneKind, RecordingSink, ShardableSink, ShardedSink, Tee, TraceEvent,
+    parse_jsonl, DpDecision, FcpEvalKind, JsonlSink, MinerSink, NullSink, Phase, ProgressSink,
+    PruneKind, RecordingSink, ShardableSink, ShardedSink, Tee, TraceEvent,
 };

@@ -31,14 +31,10 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use utdb::Item;
-
 use crate::config::MinerConfig;
 use crate::result::MiningOutcome;
-use crate::stats::{KernelStats, MinerStats};
-use crate::trace::{
-    CountingSink, DpDecision, FcpEvalKind, MinerSink, Phase, PruneKind, ShardableSink,
-};
+use crate::stats::RunLedger;
+use crate::trace::{DpDecision, FcpEvalKind, MinerSink, Phase, ShardableSink};
 
 /// Sub-buckets per power of two: bucket boundaries grow by `2^(1/8)`.
 const SUB_BUCKETS: i64 = 8;
@@ -614,18 +610,13 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
 /// | `freq_prob` | the exact `Pr_F` values the DP returned |
 /// | `dp_refusal_magnitude` | magnitude of each refused `TailDp` removal (`dp_decision`) |
 ///
-/// It also embeds a [`CountingSink`], so the counter side of the
-/// snapshot reconciles exactly with the run's [`MinerStats`]. Compose it
+/// The counter side of the snapshot is each finished run's own
+/// [`RunLedger`], taken from the outcome at `run_finished`. Compose it
 /// with other sinks via [`crate::trace::Tee`]; extract the result with
 /// [`HistogramSink::snapshot`] (or the accessors) after the run.
 #[derive(Debug, Clone, Default)]
 pub struct HistogramSink {
-    /// Event counters re-derived from the stream, [`CountingSink`]-style.
-    pub counts: CountingSink,
-    /// Kernel-level counters (incremental DP, bound cache, bitmap words),
-    /// captured from each finished run's [`MiningOutcome::kernel`] — they
-    /// have no per-event trace, so they arrive wholesale at `run_finished`.
-    pub kernel: KernelStats,
+    ledger: RunLedger,
     last_node: Option<Instant>,
     node_latency: Histogram,
     node_depth: Histogram,
@@ -706,44 +697,30 @@ impl HistogramSink {
         self.runs
     }
 
-    /// Export everything as a [`MetricsRegistry`]: the counter side
-    /// mirrors [`MinerStats`] field-for-field, the histogram side carries
+    /// Export everything as a [`MetricsRegistry`]: the counter side is
+    /// the observed runs' summed [`RunLedger`], the histogram side carries
     /// the distributions listed in the type docs.
     pub fn snapshot(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        let s: &MinerStats = &self.counts.stats;
-        for (name, v) in [
-            ("nodes_visited", s.nodes_visited),
-            ("superset_pruned", s.superset_pruned),
-            ("subset_pruned", s.subset_pruned),
-            ("ch_pruned", s.ch_pruned),
-            ("freq_pruned", s.freq_pruned),
-            ("bound_rejected", s.bound_rejected),
-            ("bound_decided", s.bound_decided),
-            ("fcp_exact", s.fcp_exact),
-            ("fcp_sampled", s.fcp_sampled),
-            ("samples_drawn", s.samples_drawn),
-            ("freq_prob_evals", s.freq_prob_evals),
-            ("results", self.counts.results_emitted),
-            ("runs", self.runs),
-        ] {
+        let ledger = &self.ledger;
+        let kernel = ledger.kernel_stats();
+        for (name, v) in ledger.stats.named().into_iter().chain(kernel.named()) {
             reg.add(name, v);
         }
-        for (name, v) in self.kernel.named() {
-            reg.add(name, v);
-        }
-        for (name, v) in self.counts.audit.named() {
+        reg.add("results", ledger.results_emitted);
+        reg.add("runs", self.runs);
+        for (name, v) in ledger.audit.named() {
             reg.add(&format!("audit_{name}"), v);
         }
         reg.set_gauge("elapsed_s", self.elapsed.as_secs_f64());
         // Cache health: capacity is configuration (gauge); the hit rate
         // only exists once the bound cache saw at least one lookup.
         reg.set_gauge("event_cache_capacity", self.event_cache_capacity as f64);
-        let lookups = self.kernel.bound_cache_hits + self.kernel.bound_cache_misses;
+        let lookups = kernel.bound_cache_hits + kernel.bound_cache_misses;
         if lookups > 0 {
             reg.set_gauge(
                 "bound_cache_hit_rate",
-                self.kernel.bound_cache_hits as f64 / lookups as f64,
+                kernel.bound_cache_hits as f64 / lookups as f64,
             );
         }
         // Pool health from the span replay: per-worker counters plus
@@ -790,13 +767,12 @@ impl HistogramSink {
 
 impl HistogramSink {
     /// Merge another sink's observations into this one: counters via
-    /// [`CountingSink::merge`], every distribution bucket-wise via
+    /// [`RunLedger::absorb`], every distribution bucket-wise via
     /// [`Histogram::merge`] (both exact, associative and commutative),
     /// plus `elapsed`/`runs`. The in-flight `last_node` instant stays
     /// local — cross-shard node gaps are not node latencies.
     pub fn merge(&mut self, other: &HistogramSink) {
-        self.counts.merge(&other.counts);
-        self.kernel.absorb(&other.kernel);
+        self.ledger.absorb(&other.ledger);
         self.node_latency.merge(&other.node_latency);
         self.node_depth.merge(&other.node_depth);
         for (mine, theirs) in self.phase.iter_mut().zip(other.phase.iter()) {
@@ -850,22 +826,16 @@ impl MinerSink for HistogramSink {
         }
     }
     fn node_entered(&mut self, depth: usize) {
-        self.counts.node_entered(depth);
         self.node_depth.record(depth as f64);
         let now = Instant::now();
         if let Some(prev) = self.last_node.replace(now) {
             self.node_latency.record_duration(now.duration_since(prev));
         }
     }
-    fn prune_fired(&mut self, kind: PruneKind) {
-        self.counts.prune_fired(kind);
-    }
     fn freq_prob_evaluated(&mut self, pr_f: f64) {
-        self.counts.freq_prob_evaluated(pr_f);
         self.freq_prob.record(pr_f);
     }
     fn dp_decision(&mut self, decision: DpDecision) {
-        self.counts.dp_decision(decision);
         if let Some(magnitude) = decision.magnitude() {
             self.dp_refusal_magnitude.record(magnitude);
         }
@@ -874,20 +844,15 @@ impl MinerSink for HistogramSink {
         self.fcp_bound_width.record((upper - lower).max(0.0));
     }
     fn fcp_evaluated(&mut self, method: FcpEvalKind, samples: u64) {
-        self.counts.fcp_evaluated(method, samples);
         if method == FcpEvalKind::Sampled {
             self.approx_fcp_samples.record(samples as f64);
         }
     }
-    fn result_emitted(&mut self, items: &[Item], fcp: f64) {
-        self.counts.result_emitted(items, fcp);
-    }
     fn phase_end(&mut self, phase: Phase, elapsed: Duration) {
-        self.counts.phase_end(phase, elapsed);
         self.phase[phase.index()].record_duration(elapsed);
     }
     fn run_finished(&mut self, outcome: &MiningOutcome) {
-        self.kernel.absorb(&outcome.kernel);
+        self.ledger.absorb(&outcome.ledger());
         self.elapsed += outcome.elapsed;
         self.runs += 1;
         self.last_node = None;
@@ -897,6 +862,7 @@ impl MinerSink for HistogramSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Tee;
     use proptest::prelude::*;
 
     fn filled(values: &[f64]) -> Histogram {
@@ -1031,20 +997,15 @@ mod tests {
     }
 
     #[test]
-    fn histogram_sink_snapshot_mirrors_counting_sink() {
+    fn histogram_sink_snapshot_records_distributions() {
         let mut sink = HistogramSink::new();
         sink.node_entered(1);
         sink.node_entered(2);
-        sink.prune_fired(PruneKind::Superset);
         sink.freq_prob_evaluated(0.75);
         sink.fcp_bounds(0.5, 0.9);
         sink.fcp_evaluated(FcpEvalKind::Sampled, 1234);
         sink.phase_end(Phase::FreqDp, Duration::from_micros(10));
         let reg = sink.snapshot();
-        assert_eq!(reg.counter("nodes_visited"), Some(2));
-        assert_eq!(reg.counter("superset_pruned"), Some(1));
-        assert_eq!(reg.counter("freq_prob_evals"), Some(1));
-        assert_eq!(reg.counter("samples_drawn"), Some(1234));
         assert_eq!(reg.get_histogram("node_latency_s").unwrap().count(), 1);
         assert_eq!(reg.get_histogram("node_depth").unwrap().count(), 2);
         assert_eq!(reg.get_histogram("phase_freq_dp_s").unwrap().count(), 1);
@@ -1101,8 +1062,8 @@ mod tests {
         let reg = sink.snapshot();
         assert_eq!(reg.gauge("event_cache_capacity"), Some(32.0));
         assert!(reg.gauge("bound_cache_hit_rate").is_none());
-        sink.kernel.bound_cache_hits = 3;
-        sink.kernel.bound_cache_misses = 1;
+        sink.ledger.kernel.bound_cache_hits = 3;
+        sink.ledger.kernel.bound_cache_misses = 1;
         let reg = sink.snapshot();
         assert_eq!(reg.gauge("bound_cache_hit_rate"), Some(0.75));
         lint_prometheus(&reg.to_prometheus("pfcim")).unwrap();
@@ -1110,15 +1071,19 @@ mod tests {
 
     #[test]
     fn prometheus_export_passes_the_linter() {
-        let mut sink = HistogramSink::new();
+        // The histograms come from the events, the counters from the
+        // finished run's ledger.
+        let mut sink = Tee(HistogramSink::new(), RunLedger::default());
         sink.node_entered(1);
         sink.node_entered(2);
-        sink.prune_fired(PruneKind::Superset);
+        sink.prune_fired(crate::trace::PruneKind::Superset);
         sink.freq_prob_evaluated(0.75);
         sink.dp_decision(DpDecision::Incremental);
         sink.dp_decision(DpDecision::ErrTol { measured: 5.5e-8 });
         sink.fcp_evaluated(FcpEvalKind::Sampled, 1234);
         sink.phase_end(Phase::FreqDp, Duration::from_micros(10));
+        let Tee(mut sink, ledger) = sink;
+        sink.run_finished(&ledger.into_outcome(Vec::new(), Duration::ZERO, false, 1.0));
         let text = sink.snapshot().to_prometheus("pfcim");
         lint_prometheus(&text).expect("exporter output must lint clean");
         // Counters carry HELP/TYPE headers and the sample value.
@@ -1175,13 +1140,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_sink_shards_reconcile_to_single_sink_counters() {
+    fn histogram_sink_shards_merge_to_single_sink_distributions() {
         // Drive the same event stream through one sink and through two
-        // shards; everything except wall-clock-derived node latencies
-        // must match exactly.
+        // shards; every distribution except the wall-clock-derived node
+        // latencies must match exactly.
         let drive = |sink: &mut HistogramSink, base: u64| {
             sink.node_entered(base as usize % 4 + 1);
-            sink.prune_fired(PruneKind::ALL[base as usize % 5]);
             sink.freq_prob_evaluated(0.5);
             sink.fcp_bounds(0.2, 0.8);
             sink.fcp_evaluated(FcpEvalKind::Sampled, 100 + base);
@@ -1199,8 +1163,6 @@ mod tests {
         sharded.absorb_shard(a);
         sharded.absorb_shard(b);
 
-        assert_eq!(single.counts.stats, sharded.counts.stats);
-        assert_eq!(single.counts.timers, sharded.counts.timers);
         assert_eq!(single.node_depth, sharded.node_depth);
         assert_eq!(single.approx_fcp_samples, sharded.approx_fcp_samples);
         assert_eq!(single.fcp_bound_width, sharded.fcp_bound_width);

@@ -29,12 +29,12 @@
 //!
 //! ```
 //! # use pfcim_core::prelude::*;
-//! # use pfcim_core::CountingSink;
+//! # use pfcim_core::RunLedger;
 //! # use utdb::UncertainDatabase;
 //! # let db = UncertainDatabase::parse_symbolic(&[("a b", 0.9), ("a b", 0.8)]);
-//! let mut counting = CountingSink::default();
-//! let outcome = Miner::new(&db).min_sup(1).pfct(0.5).sink(&mut counting).run();
-//! assert_eq!(counting.stats, outcome.stats);
+//! let mut ledger = RunLedger::default();
+//! let outcome = Miner::new(&db).min_sup(1).pfct(0.5).sink(&mut ledger).run();
+//! assert_eq!(ledger.stats, outcome.stats);
 //! ```
 //!
 //! `Miner::new(&db)` gives each run a private, run-scoped bound-input
@@ -243,7 +243,8 @@ impl<S: ShardableSink + ?Sized> SinkedMiner<'_, '_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{CountingSink, NullSink};
+    use crate::stats::RunLedger;
+    use crate::trace::NullSink;
 
     fn table2() -> UncertainDatabase {
         UncertainDatabase::parse_symbolic(&[
@@ -312,15 +313,15 @@ mod tests {
     #[test]
     fn sink_observes_the_run() {
         let db = table2();
-        let mut counting = CountingSink::default();
+        let mut ledger = RunLedger::default();
         let outcome = Miner::new(&db)
             .min_sup(2)
             .pfct(0.8)
             .threads(1)
-            .sink(&mut counting)
+            .sink(&mut ledger)
             .run();
-        assert_eq!(counting.stats, outcome.stats);
-        assert_eq!(counting.results_emitted, outcome.results.len() as u64);
+        assert_eq!(ledger.stats, outcome.stats);
+        assert_eq!(ledger.results_emitted, outcome.results.len() as u64);
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::config::{MinerConfig, SearchStrategy};
 use crate::evaluator::Evaluator;
 use crate::par;
 use crate::result::{MiningOutcome, Pfci};
-use crate::stats::{DpAudit, KernelStats, MinerStats, PhaseTimers};
+use crate::stats::RunLedger;
 use crate::trace::{timed, DpDecision, MinerSink, Phase, PruneKind, ShardableSink, ShardedSink};
 
 /// Hard cap on downdates accumulated in one [`TailDp`] row before the
@@ -112,7 +112,7 @@ pub(crate) fn run_search<S: ShardableSink + ?Sized>(
 ///
 /// With [`MinerConfig::effective_threads`] > 1, the first-level subtree
 /// roots fan out over a work-stealing pool ([`crate::par`]); results,
-/// stats, timers and sink shards are merged deterministically in
+/// run ledgers and sink shards are merged deterministically in
 /// canonical item order at the join barrier. Exact-mode output is
 /// bit-identical to the sequential run for every thread count;
 /// sampled-mode output is a pure function of `(seed, threads)` (and in
@@ -192,37 +192,16 @@ fn mine_dfs_sequential<S: MinerSink + ?Sized>(
 
     let DfsMiner {
         evaluator,
-        mut results,
+        results,
         timed_out,
         ..
     } = miner;
-    let Evaluator {
-        stats,
-        kernel,
-        timers,
-        audit,
-        sink,
-        carve_ceiling,
-        ..
-    } = evaluator;
-    results.sort_by(|a, b| a.items.cmp(&b.items));
-    let outcome = MiningOutcome {
-        results,
-        stats,
-        kernel,
-        timers,
-        audit,
-        elapsed: start.elapsed(),
-        timed_out,
-        carve_ceiling,
-    };
-    sink.run_finished(&outcome);
-    outcome
+    evaluator.finish(results, start.elapsed(), timed_out)
 }
 
 /// First-level fan-out: each root item's subtree is one task on the
 /// work-stealing pool, observed through a private sink shard. The
-/// barrier then reconciles shards/results/stats/timers in root-id order,
+/// barrier then reconciles shards/results/ledgers in root-id order,
 /// so aggregate sinks see exactly the sequential event stream (in exact
 /// mode) and the result set is sorted identically to the sequential
 /// path.
@@ -288,51 +267,23 @@ fn mine_dfs_parallel<S: ShardableSink + ?Sized>(
                 ..
             } = miner;
             let Evaluator {
-                stats,
-                kernel,
-                timers,
-                audit,
+                ledger,
                 carve_ceiling,
                 ..
             } = evaluator;
-            (
-                shard,
-                results,
-                stats,
-                kernel,
-                timers,
-                audit,
-                timed_out,
-                carve_ceiling,
-            )
+            (shard, results, ledger, timed_out, carve_ceiling)
         },
         pool.as_ref(),
         gauges.as_deref(),
     );
 
-    let mut stats = MinerStats::default();
-    let mut kernel = KernelStats::default();
-    let mut timers = PhaseTimers::default();
-    let mut audit = DpAudit::default();
+    let mut ledger = RunLedger::default();
     let mut results = Vec::new();
     let mut timed_out = false;
     let mut carve_ceiling = 1.0f64;
-    for (
-        shard,
-        root_results,
-        root_stats,
-        root_kernel,
-        root_timers,
-        root_audit,
-        root_timed_out,
-        root_ceiling,
-    ) in per_root
-    {
+    for (shard, root_results, root_ledger, root_timed_out, root_ceiling) in per_root {
         sharded.absorb(shard);
-        stats.absorb(&root_stats);
-        kernel.absorb(&root_kernel);
-        timers.absorb(&root_timers);
-        audit.absorb(&root_audit);
+        ledger.absorb(&root_ledger);
         results.extend(root_results);
         timed_out |= root_timed_out;
         carve_ceiling = carve_ceiling.min(root_ceiling);
@@ -342,17 +293,7 @@ fn mine_dfs_parallel<S: ShardableSink + ?Sized>(
             sharded.parent().pool_span(&span);
         }
     }
-    results.sort_by(|a, b| a.items.cmp(&b.items));
-    let outcome = MiningOutcome {
-        results,
-        stats,
-        kernel,
-        timers,
-        audit,
-        elapsed: start.elapsed(),
-        timed_out,
-        carve_ceiling,
-    };
+    let outcome = ledger.into_outcome(results, start.elapsed(), timed_out, carve_ceiling);
     sharded.parent().run_finished(&outcome);
     outcome
 }
@@ -462,25 +403,15 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
         if !self.check_chernoff(esup, count) {
             return None;
         }
-        self.evaluator.stats.freq_prob_evals += 1;
-        let kernel = &mut self.evaluator.kernel;
-        let min_sup = cfg.min_sup;
-        let tids_ref = &tids;
-        let dp = timed(
-            Phase::FreqDp,
-            &mut self.evaluator.timers,
-            &mut *self.evaluator.sink,
-            || {
-                kernel.dp_recomputed += 1;
-                let mut dp = TailDp::new(min_sup);
-                for tid in tids_ref.iter() {
-                    dp.push(db.probability(tid));
-                }
-                dp
-            },
-        );
-        self.evaluator.audit.record(DpDecision::FreshRoot);
-        self.evaluator.sink.dp_decision(DpDecision::FreshRoot);
+        let mut sink = self.evaluator.observe();
+        let dp = timed(Phase::FreqDp, &mut sink, || {
+            let mut dp = TailDp::new(cfg.min_sup);
+            for tid in tids.iter() {
+                dp.push(db.probability(tid));
+            }
+            dp
+        });
+        sink.dp_decision(DpDecision::FreshRoot);
         self.finish_qualify(tids, dp, esup)
     }
 
@@ -500,75 +431,59 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
         for tid in parent.tids.diff_iter(&tids) {
             self.dropped.push(db.probability(tid));
         }
-        self.evaluator.kernel.bitmap_words += parent.tids.word_len() as u64;
+        self.evaluator.ledger.kernel.bitmap_words += parent.tids.word_len() as u64;
         let mut esup = (parent.esup - self.dropped.iter().sum::<f64>()).max(0.0);
         if !self.check_chernoff(esup, count) {
             self.arena.bitmaps.push(tids);
             return None;
         }
-        self.evaluator.stats.freq_prob_evals += 1;
-
-        let kernel = &mut self.evaluator.kernel;
         let tol = cfg.dp_error_tol;
         let dropped = &self.dropped;
-        let tids_ref = &tids;
-        let esup_ref = &mut esup;
         let mut pooled = self.arena.take_dp(cfg.min_sup);
-        let (dp, decision) = timed(
-            Phase::FreqDp,
-            &mut self.evaluator.timers,
-            &mut *self.evaluator.sink,
-            || {
-                // Downdate when it is cheaper than a rebuild and every
-                // removal's measured error bound fits the tolerance;
-                // otherwise rebuild, recording the structured reason for
-                // the audit channel.
-                let removals = dropped.len() as u32;
-                let decision = if dropped.len() >= count {
-                    DpDecision::CostSkip
-                } else if parent.dp.removals() + removals > MAX_DOWNDATES {
-                    DpDecision::DowndateCap
-                } else {
-                    pooled.clone_from(&parent.dp);
-                    let mut refusal = None;
-                    for &p in dropped.iter() {
-                        if let Err(r) = pooled.try_remove_explained(p, tol) {
-                            refusal = Some(r);
-                            break;
-                        }
+        let mut sink = self.evaluator.observe();
+        let (dp, decision) = timed(Phase::FreqDp, &mut sink, || {
+            // Downdate when it is cheaper than a rebuild and every
+            // removal's measured error bound fits the tolerance;
+            // otherwise rebuild, recording the structured reason for the
+            // audit channel.
+            let removals = dropped.len() as u32;
+            let decision = if dropped.len() >= count {
+                DpDecision::CostSkip
+            } else if parent.dp.removals() + removals > MAX_DOWNDATES {
+                DpDecision::DowndateCap
+            } else {
+                pooled.clone_from(&parent.dp);
+                let mut refusal = None;
+                for &p in dropped.iter() {
+                    if let Err(r) = pooled.try_remove_explained(p, tol) {
+                        refusal = Some(r);
+                        break;
                     }
-                    match refusal {
-                        None => {
-                            kernel.dp_incremental += 1;
-                            return (pooled, DpDecision::Incremental);
-                        }
-                        Some(RemovalRefusal::ErrTol { measured }) => {
-                            DpDecision::ErrTol { measured }
-                        }
-                        Some(RemovalRefusal::RowValidation { violation }) => {
-                            DpDecision::RowValidation { violation }
-                        }
-                        Some(RemovalRefusal::Empty | RemovalRefusal::Degenerate) => {
-                            DpDecision::Degenerate
-                        }
-                    }
-                };
-                kernel.dp_recomputed += 1;
-                pooled.rebuild(std::iter::empty());
-                let mut fresh_esup = 0.0;
-                for tid in tids_ref.iter() {
-                    let p = db.probability(tid);
-                    fresh_esup += p;
-                    pooled.push(p);
                 }
-                // The rebuild touches every remaining probability anyway:
-                // refresh the expected support to stop incremental drift.
-                *esup_ref = fresh_esup;
-                (pooled, decision)
-            },
-        );
-        self.evaluator.audit.record(decision);
-        self.evaluator.sink.dp_decision(decision);
+                match refusal {
+                    None => return (pooled, DpDecision::Incremental),
+                    Some(RemovalRefusal::ErrTol { measured }) => DpDecision::ErrTol { measured },
+                    Some(RemovalRefusal::RowValidation { violation }) => {
+                        DpDecision::RowValidation { violation }
+                    }
+                    Some(RemovalRefusal::Empty | RemovalRefusal::Degenerate) => {
+                        DpDecision::Degenerate
+                    }
+                }
+            };
+            pooled.rebuild(std::iter::empty());
+            let mut fresh_esup = 0.0;
+            for tid in tids.iter() {
+                let p = db.probability(tid);
+                fresh_esup += p;
+                pooled.push(p);
+            }
+            // The rebuild touches every remaining probability anyway:
+            // refresh the expected support to stop incremental drift.
+            esup = fresh_esup;
+            (pooled, decision)
+        });
+        sink.dp_decision(decision);
         self.finish_qualify(tids, dp, esup)
     }
 
@@ -578,17 +493,12 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
         if !cfg.pruning.chernoff_hoeffding {
             return true;
         }
-        let refuted = timed(
-            Phase::ChBound,
-            &mut self.evaluator.timers,
-            &mut *self.evaluator.sink,
-            || hoeffding_infrequent(esup, count, cfg.min_sup, cfg.pfct),
-        );
+        let mut sink = self.evaluator.observe();
+        let refuted = timed(Phase::ChBound, &mut sink, || {
+            hoeffding_infrequent(esup, count, cfg.min_sup, cfg.pfct)
+        });
         if refuted {
-            self.evaluator.stats.ch_pruned += 1;
-            self.evaluator
-                .sink
-                .prune_fired(PruneKind::ChernoffHoeffding);
+            sink.prune_fired(PruneKind::ChernoffHoeffding);
             return false;
         }
         true
@@ -599,10 +509,10 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
     fn finish_qualify(&mut self, tids: TidBitmap, dp: TailDp, esup: f64) -> Option<NodeCtx> {
         let cfg = self.evaluator.cfg;
         let pr_f = dp.tail();
-        self.evaluator.sink.freq_prob_evaluated(pr_f);
+        let mut sink = self.evaluator.observe();
+        sink.freq_prob_evaluated(pr_f);
         if pr_f <= cfg.pfct {
-            self.evaluator.stats.freq_pruned += 1;
-            self.evaluator.sink.prune_fired(PruneKind::FreqProb);
+            sink.prune_fired(PruneKind::FreqProb);
             self.arena.recycle_parts(tids, dp);
             return None;
         }
@@ -630,8 +540,7 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
         }
         let db = self.evaluator.db;
         let cfg = self.evaluator.cfg;
-        self.evaluator.stats.nodes_visited += 1;
-        self.evaluator.sink.node_entered(items.len());
+        self.evaluator.observe().node_entered(items.len());
         let words = ctx.tids.word_len() as u64;
 
         // --- Superset pruning (Lemma 4.2) --------------------------------
@@ -642,12 +551,11 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
                 if items.binary_search(&pre).is_ok() {
                     continue;
                 }
-                self.evaluator.kernel.bitmap_words += words;
+                self.evaluator.ledger.kernel.bitmap_words += words;
                 if ctx.tids.is_subset(db.bitmap_of(pre)) {
                     // X and every superset with X as prefix appear only
                     // together with `pre`: the whole subtree is dead.
-                    self.evaluator.stats.superset_pruned += 1;
-                    self.evaluator.sink.prune_fired(PruneKind::Superset);
+                    self.evaluator.observe().prune_fired(PruneKind::Superset);
                     return;
                 }
             }
@@ -659,7 +567,7 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
         let last = items.last().expect("non-empty").0;
         for ext_id in last + 1..db.num_items() as u32 {
             let ext = Item(ext_id);
-            self.evaluator.kernel.bitmap_words += words;
+            self.evaluator.ledger.kernel.bitmap_words += words;
             let child_count = ctx.tids.and_count(db.bitmap_of(ext));
             if child_count == 0 {
                 continue;
@@ -668,15 +576,14 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
             if !carries_support && child_count < cfg.min_sup {
                 continue; // qualification would reject it without a DP
             }
-            self.evaluator.kernel.bitmap_words += words;
+            self.evaluator.ledger.kernel.bitmap_words += words;
             let mut child_tids = self.arena.take_bitmap();
             ctx.tids.and_into(db.bitmap_of(ext), &mut child_tids);
             if carries_support {
                 // X∪ext always accompanies X: X is never closed, and the
                 // remaining sibling subtrees (which cannot contain `ext`)
                 // are never closed either — only this branch survives.
-                self.evaluator.stats.subset_pruned += 1;
-                self.evaluator.sink.prune_fired(PruneKind::Subset);
+                self.evaluator.observe().prune_fired(PruneKind::Subset);
                 x_closed = false;
                 // T(X∪ext) = T(X): tid-set, DP row, expected support
                 // and frequent probability all carry over unchanged.

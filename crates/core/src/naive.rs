@@ -47,38 +47,16 @@ pub(crate) fn run_naive<S: MinerSink + ?Sized>(
                 break;
             }
         }
-        evaluator.stats.nodes_visited += 1;
-        evaluator.sink.node_entered(pfi.items.len());
+        evaluator.observe().node_entered(pfi.items.len());
         let tids = db.tidset_of_itemset(&pfi.items).into_bitmap();
         if let Some(pfci) = evaluator.evaluate_naive(&pfi.items, &tids, pfi.frequent_probability) {
             results.push(pfci);
         }
     }
 
-    let Evaluator {
-        stats,
-        kernel,
-        timers,
-        audit,
-        sink,
-        carve_ceiling,
-        ..
-    } = evaluator;
-    results.sort_by(|a, b| a.items.cmp(&b.items));
     // The PFI stage runs its own DPs outside the evaluator, so the naive
     // baseline's audit stays empty (it never produces TailDp rows here).
-    let outcome = MiningOutcome {
-        results,
-        stats,
-        kernel,
-        timers,
-        audit,
-        elapsed: start.elapsed(),
-        timed_out,
-        carve_ceiling,
-    };
-    sink.run_finished(&outcome);
-    outcome
+    evaluator.finish(results, start.elapsed(), timed_out)
 }
 
 #[cfg(test)]
@@ -123,6 +101,8 @@ mod tests {
         let naive = naive(&db, &cfg);
         assert_eq!(naive.stats.nodes_visited, 15);
         assert_eq!(naive.stats.fcp_sampled, 15);
+        // Its DPs run in the PFI stage, outside the audited evaluator.
+        assert_eq!(naive.audit.total(), 0);
         let dfs = dfs(&db, &cfg);
         assert!(dfs.stats.fcp_evaluations() < naive.stats.fcp_evaluations());
     }

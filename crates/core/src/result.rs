@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use utdb::{Item, UncertainDatabase};
 
-use crate::stats::{DpAudit, KernelStats, MinerStats, PhaseTimers};
+use crate::stats::{DpAudit, KernelStats, MinerStats, PhaseTimers, RunLedger};
 
 /// One probabilistic frequent closed itemset (Definition 3.8).
 #[derive(Debug, Clone, PartialEq)]
@@ -107,6 +107,24 @@ impl MiningOutcome {
     /// equality tests compare.
     pub fn itemsets(&self) -> Vec<Vec<Item>> {
         self.results.iter().map(|p| p.items.clone()).collect()
+    }
+
+    /// The run's counters as one [`RunLedger`], for consumers that sum
+    /// over runs. The kernel's DP pair stays zero in it, as in every
+    /// ledger: it is the audit's.
+    pub fn ledger(&self) -> RunLedger {
+        RunLedger {
+            stats: self.stats,
+            kernel: KernelStats {
+                dp_incremental: 0,
+                dp_recomputed: 0,
+                ..self.kernel
+            },
+            audit: self.audit,
+            timers: self.timers,
+            results_emitted: self.results.len() as u64,
+            pattern_deltas: 0,
+        }
     }
 
     /// Counters, timers and wall-clock time as one [`TimedStats`](crate::stats::TimedStats) bundle

@@ -907,39 +907,23 @@ fn render_response(
             p.frequent_probability,
         ));
     }
-    let s = &outcome.stats;
-    out.push_str(&format!(
-        "],\"stats\":{{\"nodes_visited\":{},\"superset_pruned\":{},\"subset_pruned\":{},\
-         \"ch_pruned\":{},\"freq_pruned\":{},\"bound_rejected\":{},\"bound_decided\":{},\
-         \"fcp_exact\":{},\"fcp_sampled\":{},\"samples_drawn\":{},\"freq_prob_evals\":{}}}",
-        s.nodes_visited,
-        s.superset_pruned,
-        s.subset_pruned,
-        s.ch_pruned,
-        s.freq_pruned,
-        s.bound_rejected,
-        s.bound_decided,
-        s.fcp_exact,
-        s.fcp_sampled,
-        s.samples_drawn,
-        s.freq_prob_evals,
-    ));
-    out.push_str(",\"kernel\":{");
-    for (i, (name, value)) in outcome.kernel.named().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    out.push(']');
+    for (key, named) in [
+        ("stats", &outcome.stats.named()[..]),
+        ("kernel", &outcome.kernel.named()[..]),
+        ("audit", &outcome.audit.named()[..]),
+    ] {
+        out.push_str(&format!(",\"{key}\":{{"));
+        for (i, (name, value)) in named.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("\"{name}\":{value}"));
         }
-        out.push_str(&format!("\"{name}\":{value}"));
-    }
-    out.push_str("},\"audit\":{");
-    for (i, (name, value)) in outcome.audit.named().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{value}"));
+        out.push('}');
     }
     out.push_str(&format!(
-        "}},\"carve_ceiling\":{:.6},\"cache\":{{\"snapshot_hits\":{},\"snapshot_misses\":{}}}}}",
+        ",\"carve_ceiling\":{:.6},\"cache\":{{\"snapshot_hits\":{},\"snapshot_misses\":{}}}}}",
         outcome.carve_ceiling,
         snapshot.cache().hits(),
         snapshot.cache().misses(),

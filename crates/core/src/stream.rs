@@ -83,8 +83,8 @@ use crate::config::MinerConfig;
 use crate::mpfci::{run_dfs_focused, Focus, MAX_DOWNDATES};
 use crate::result::{MiningOutcome, PatternDelta, Pfci};
 use crate::snapshot::Snapshot;
-use crate::stats::DpAudit;
-use crate::trace::{DpDecision, MinerSink, ShardableSink};
+use crate::stats::{DpAudit, RunLedger};
+use crate::trace::{DpDecision, MinerSink, ShardableSink, Tee};
 
 /// Configuration of a [`StreamMiner`].
 #[derive(Debug, Clone, PartialEq)]
@@ -211,8 +211,8 @@ pub struct StreamMiner {
     pending: Vec<Change>,
     stats: StreamStats,
     /// Cumulative row-maintenance decisions, in the same taxonomy the
-    /// batch miner audits ([`DpAudit`]).
-    audit: DpAudit,
+    /// batch miner audits ([`DpAudit`]); only the ledger's `audit` fills.
+    rows_ledger: RunLedger,
     /// Last snapshot handed out by [`StreamMiner::snapshot`]; successors
     /// derive from it so the generation lineage survives republishing.
     published: Option<Snapshot>,
@@ -234,7 +234,7 @@ impl StreamMiner {
             rows: Vec::new(),
             pending: Vec::new(),
             stats: StreamStats::default(),
-            audit: DpAudit::default(),
+            rows_ledger: RunLedger::default(),
             published: None,
         }
     }
@@ -263,7 +263,7 @@ impl StreamMiner {
 
     /// Cumulative row-maintenance decision audit.
     pub fn audit(&self) -> &DpAudit {
-        &self.audit
+        &self.rows_ledger.audit
     }
 
     /// Intern streamed symbols before building transactions.
@@ -482,8 +482,7 @@ impl StreamMiner {
     }
 
     fn record<S: MinerSink + ?Sized>(&mut self, sink: &mut S, decision: DpDecision) {
-        self.audit.record(decision);
-        sink.dp_decision(decision);
+        Tee(&mut self.rows_ledger, sink).dp_decision(decision);
     }
 }
 
@@ -541,7 +540,8 @@ mod tests {
     use super::*;
     use crate::config::FcpMethod;
     use crate::miner::Miner;
-    use crate::trace::{CountingSink, NullSink};
+    use crate::stats::RunLedger;
+    use crate::trace::NullSink;
 
     fn exact_config(window: usize, min_sup: usize, pfct: f64) -> StreamConfig {
         StreamConfig::new(
@@ -660,7 +660,7 @@ mod tests {
     fn deltas_replay_the_previous_set_into_the_new_one() {
         let mut sm = StreamMiner::new(dict(4), exact_config(3, 2, 0.3));
         let mut shadow: Vec<Pfci> = Vec::new();
-        let mut counting = CountingSink::default();
+        let mut ledger = RunLedger::default();
         let mut total_deltas = 0u64;
         for s in 0u32..15 {
             let items = [s % 4, (s * 3 + 1) % 4];
@@ -672,7 +672,7 @@ mod tests {
                 },
                 f64::from(s % 9 + 1) / 10.0,
             );
-            let step = sm.advance(t, &mut counting);
+            let step = sm.advance(t, &mut ledger);
             total_deltas += step.deltas.len() as u64;
             // Apply the deltas to the shadow copy.
             for delta in &step.deltas {
@@ -698,7 +698,7 @@ mod tests {
             }
             assert_eq!(shadow.as_slice(), sm.results());
         }
-        assert_eq!(counting.pattern_deltas, total_deltas);
+        assert_eq!(ledger.pattern_deltas, total_deltas);
         assert_eq!(
             total_deltas,
             sm.stats().deltas_added + sm.stats().deltas_removed + sm.stats().deltas_updated

@@ -13,8 +13,11 @@
 //! Provided sinks:
 //!
 //! * [`NullSink`] — discards everything (the default).
-//! * [`CountingSink`] — re-derives [`MinerStats`] purely from events;
-//!   used to prove the event stream is complete.
+//! * [`RunLedger`] — the counter ledger: every event bumps exactly one
+//!   counter. Each run keeps one internally and forwards every event it
+//!   records to the user's sink, so the outcome's counters and the event
+//!   stream cannot disagree; attached as a sink, or fed a parsed trace
+//!   through [`RunLedger::absorb_event`], it rebuilds those counters.
 //! * [`RecordingSink`] — buffers every event as a [`TraceEvent`].
 //! * [`JsonlSink`] — streams events as JSON Lines (schema below).
 //! * [`ProgressSink`] — throttled stderr heartbeat (nodes/sec, pruning
@@ -64,7 +67,7 @@ use utdb::Item;
 
 use crate::config::MinerConfig;
 use crate::result::{MiningOutcome, PatternDelta};
-use crate::stats::{DpAudit, MinerStats, PhaseTimers};
+use crate::stats::RunLedger;
 
 /// The instrumented phases of a mining run, in the order they typically
 /// occur per candidate.
@@ -87,7 +90,7 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Number of phases (array dimension of [`PhaseTimers`]).
+    /// Number of phases (array dimension of [`PhaseTimers`](crate::stats::PhaseTimers)).
     pub const COUNT: usize = 6;
 
     /// Every phase, in canonical order.
@@ -130,7 +133,7 @@ impl Phase {
     }
 }
 
-/// Which pruning fired (the counters of [`MinerStats`], as events).
+/// Which pruning fired (the counters of [`MinerStats`](crate::stats::MinerStats), as events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PruneKind {
     /// Chernoff–Hoeffding refutation (Lemma 4.1) — `ch_pruned`.
@@ -146,7 +149,7 @@ pub enum PruneKind {
 }
 
 impl PruneKind {
-    /// Every kind, in [`MinerStats`] field order.
+    /// Every kind, in [`MinerStats`](crate::stats::MinerStats) field order.
     pub const ALL: [PruneKind; 5] = [
         PruneKind::ChernoffHoeffding,
         PruneKind::FreqProb,
@@ -337,9 +340,9 @@ impl FcpEvalKind {
 /// entirely), and `&mut dyn MinerSink` works where dynamic dispatch is
 /// preferred.
 ///
-/// Exactly one event fires per [`MinerStats`] counter increment (see
-/// [`CountingSink`] for the mapping), so aggregating a run's events
-/// reproduces its stats.
+/// Every [`MinerStats`](crate::stats::MinerStats) counter is one event (see [`RunLedger`] for the
+/// mapping): the run's own counters are its events, recorded in its
+/// ledger on their way to this sink.
 #[allow(unused_variables)]
 pub trait MinerSink {
     /// False for sinks that discard everything; lets callers skip
@@ -698,20 +701,14 @@ impl<A: ShardableSink, B: ShardableSink> ShardableSink for Tee<A, B> {
     }
 }
 
-/// Run a closure as a timed phase: accumulate its duration into `timers`
-/// and bracket it with [`MinerSink::phase_start`]/[`MinerSink::phase_end`].
-pub fn timed<S: MinerSink + ?Sized, T>(
-    phase: Phase,
-    timers: &mut PhaseTimers,
-    sink: &mut S,
-    f: impl FnOnce() -> T,
-) -> T {
+/// Run a closure as a timed phase, bracketed with
+/// [`MinerSink::phase_start`]/[`MinerSink::phase_end`] (a [`RunLedger`]
+/// adds the `phase_end` duration to its timers).
+pub fn timed<S: MinerSink + ?Sized, T>(phase: Phase, sink: &mut S, f: impl FnOnce() -> T) -> T {
     sink.phase_start(phase);
     let t0 = Instant::now();
     let out = f();
-    let elapsed = t0.elapsed();
-    timers.add(phase, elapsed);
-    sink.phase_end(phase, elapsed);
+    sink.phase_end(phase, t0.elapsed());
     out
 }
 
@@ -1110,125 +1107,6 @@ impl MinerSink for RecordingSink {
     }
 }
 
-/// Re-derives [`MinerStats`] (and [`PhaseTimers`]) purely from the event
-/// stream — each event maps to exactly one counter:
-///
-/// | event                        | counter           |
-/// |------------------------------|-------------------|
-/// | `node_entered`               | `nodes_visited`   |
-/// | `prune_fired(ChernoffHoeffding)` | `ch_pruned`   |
-/// | `prune_fired(FreqProb)`      | `freq_pruned`     |
-/// | `prune_fired(Superset)`      | `superset_pruned` |
-/// | `prune_fired(Subset)`        | `subset_pruned`   |
-/// | `prune_fired(BoundReject)`   | `bound_rejected`  |
-/// | `freq_prob_evaluated`        | `freq_prob_evals` |
-/// | `fcp_evaluated(Exact)`       | `fcp_exact`       |
-/// | `fcp_evaluated(Sampled, n)`  | `fcp_sampled`, `samples_drawn += n` |
-/// | `fcp_evaluated(BoundDecided)`| `bound_decided`   |
-/// | `dp_decision(d)`             | `audit.record(d)` |
-///
-/// A run observed through a `CountingSink` therefore ends with
-/// `counting.stats == outcome.stats` (and `counting.audit ==
-/// outcome.audit`) — the reconciliation the observability tests assert.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountingSink {
-    /// Counters re-derived from events.
-    pub stats: MinerStats,
-    /// Phase totals re-derived from `phase_end` events.
-    pub timers: PhaseTimers,
-    /// DP decision-audit counters re-derived from `dp_decision` events.
-    pub audit: DpAudit,
-    /// Results seen via `result_emitted`.
-    pub results_emitted: u64,
-    /// Stream-mode pattern deltas seen via `pattern_delta`.
-    pub pattern_deltas: u64,
-}
-
-impl CountingSink {
-    /// Merge another counting sink's totals into this one. Plain
-    /// componentwise addition, so the merge is associative and
-    /// commutative — sharded reconciliation equals single-sink recording
-    /// regardless of how the events were split (proptested below).
-    pub fn merge(&mut self, other: &CountingSink) {
-        self.stats.absorb(&other.stats);
-        self.timers.absorb(&other.timers);
-        self.audit.absorb(&other.audit);
-        self.results_emitted += other.results_emitted;
-        self.pattern_deltas += other.pattern_deltas;
-    }
-
-    /// Apply one owned event (e.g. parsed back from a JSONL trace) to the
-    /// counters, exactly as the live callbacks would.
-    pub fn absorb_event(&mut self, event: &TraceEvent) {
-        match event {
-            TraceEvent::Node { .. } => self.node_entered(0),
-            TraceEvent::Prune { kind } => self.prune_fired(*kind),
-            TraceEvent::FreqProb { pr_f } => self.freq_prob_evaluated(*pr_f),
-            TraceEvent::DpDecision { decision } => self.dp_decision(*decision),
-            TraceEvent::FcpBounds { lower, upper } => self.fcp_bounds(*lower, *upper),
-            TraceEvent::FcpEval { method, samples } => self.fcp_evaluated(*method, *samples),
-            TraceEvent::Result { .. } => self.results_emitted += 1,
-            TraceEvent::Delta { .. } => self.pattern_deltas += 1,
-            TraceEvent::PhaseEnd { phase, nanos } => {
-                self.timers.add(*phase, Duration::from_nanos(*nanos));
-            }
-            TraceEvent::RunStart { .. }
-            | TraceEvent::PhaseStart { .. }
-            | TraceEvent::RunEnd { .. } => {}
-        }
-    }
-}
-
-impl MinerSink for CountingSink {
-    fn node_entered(&mut self, _depth: usize) {
-        self.stats.nodes_visited += 1;
-    }
-    fn prune_fired(&mut self, kind: PruneKind) {
-        match kind {
-            PruneKind::ChernoffHoeffding => self.stats.ch_pruned += 1,
-            PruneKind::FreqProb => self.stats.freq_pruned += 1,
-            PruneKind::Superset => self.stats.superset_pruned += 1,
-            PruneKind::Subset => self.stats.subset_pruned += 1,
-            PruneKind::BoundReject => self.stats.bound_rejected += 1,
-        }
-    }
-    fn freq_prob_evaluated(&mut self, _pr_f: f64) {
-        self.stats.freq_prob_evals += 1;
-    }
-    fn dp_decision(&mut self, decision: DpDecision) {
-        self.audit.record(decision);
-    }
-    fn fcp_evaluated(&mut self, method: FcpEvalKind, samples: u64) {
-        match method {
-            FcpEvalKind::Exact => self.stats.fcp_exact += 1,
-            FcpEvalKind::Sampled => {
-                self.stats.fcp_sampled += 1;
-                self.stats.samples_drawn += samples;
-            }
-            FcpEvalKind::BoundDecided => self.stats.bound_decided += 1,
-        }
-    }
-    fn result_emitted(&mut self, _items: &[Item], _fcp: f64) {
-        self.results_emitted += 1;
-    }
-    fn pattern_delta(&mut self, _delta: &PatternDelta) {
-        self.pattern_deltas += 1;
-    }
-    fn phase_end(&mut self, phase: Phase, elapsed: Duration) {
-        self.timers.add(phase, elapsed);
-    }
-}
-
-impl ShardableSink for CountingSink {
-    type Shard = CountingSink;
-    fn make_shard(&self) -> CountingSink {
-        CountingSink::default()
-    }
-    fn absorb_shard(&mut self, shard: CountingSink) {
-        self.merge(&shard);
-    }
-}
-
 /// Streams every event to a writer as JSON Lines (schema in the module
 /// docs). I/O errors are latched: the first error stops further writes
 /// and is surfaced by [`JsonlSink::finish`].
@@ -1387,10 +1265,7 @@ pub struct ProgressSink {
     budget: Option<Duration>,
     started: Instant,
     last_report: Instant,
-    nodes: u64,
-    results: u64,
-    pruned: [u64; PruneKind::ALL.len()],
-    samples: u64,
+    ledger: RunLedger,
 }
 
 impl Default for ProgressSink {
@@ -1409,10 +1284,7 @@ impl ProgressSink {
             budget: None,
             started: now,
             last_report: now,
-            nodes: 0,
-            results: 0,
-            pruned: [0; PruneKind::ALL.len()],
-            samples: 0,
+            ledger: RunLedger::default(),
         }
     }
 
@@ -1427,13 +1299,31 @@ impl ProgressSink {
             Some(b) => format!("/{:.0?}", b),
             None => String::new(),
         };
-        let rate = self.nodes as f64 / elapsed.as_secs_f64().max(1e-9);
-        let [ch, freq, superset, subset, bound] = self.pruned;
+        let s = &self.ledger.stats;
+        let rate = s.nodes_visited as f64 / elapsed.as_secs_f64().max(1e-9);
         format!(
-            "[{}] {:.1?}{budget} | {} nodes ({rate:.0}/s) | pruned ch={ch} freq={freq} \
-             super={superset} sub={subset} bound={bound} | {} samples | {} results",
-            self.algo, elapsed, self.nodes, self.samples, self.results,
+            "[{}] {:.1?}{budget} | {} nodes ({rate:.0}/s) | pruned ch={} freq={} \
+             super={} sub={} bound={} | {} samples | {} results",
+            self.algo,
+            elapsed,
+            s.nodes_visited,
+            s.ch_pruned,
+            s.freq_pruned,
+            s.superset_pruned,
+            s.subset_pruned,
+            s.bound_rejected,
+            s.samples_drawn,
+            self.ledger.results_emitted,
         )
+    }
+
+    /// Print a heartbeat if the interval has passed since the last one.
+    fn throttle(&mut self) {
+        let now = Instant::now();
+        if now.duration_since(self.last_report) >= self.interval {
+            self.last_report = now;
+            eprintln!("{}", self.heartbeat(now.duration_since(self.started)));
+        }
     }
 }
 
@@ -1443,59 +1333,37 @@ impl MinerSink for ProgressSink {
         self.budget = config.time_budget;
         self.started = Instant::now();
         self.last_report = self.started;
-        self.nodes = 0;
-        self.results = 0;
-        self.pruned = [0; PruneKind::ALL.len()];
-        self.samples = 0;
+        self.ledger = RunLedger::default();
     }
-    fn node_entered(&mut self, _depth: usize) {
-        self.nodes += 1;
-        let now = Instant::now();
-        if now.duration_since(self.last_report) >= self.interval {
-            self.last_report = now;
-            eprintln!("{}", self.heartbeat(now.duration_since(self.started)));
-        }
+    fn node_entered(&mut self, depth: usize) {
+        self.ledger.node_entered(depth);
+        self.throttle();
     }
     fn prune_fired(&mut self, kind: PruneKind) {
-        let idx = PruneKind::ALL
-            .iter()
-            .position(|k| *k == kind)
-            .expect("kind is in ALL");
-        self.pruned[idx] += 1;
+        self.ledger.prune_fired(kind);
     }
-    fn fcp_evaluated(&mut self, _method: FcpEvalKind, samples: u64) {
-        self.samples += samples;
+    fn fcp_evaluated(&mut self, method: FcpEvalKind, samples: u64) {
+        self.ledger.fcp_evaluated(method, samples);
     }
-    fn result_emitted(&mut self, _items: &[Item], _fcp: f64) {
-        self.results += 1;
+    fn result_emitted(&mut self, items: &[Item], fcp: f64) {
+        self.ledger.result_emitted(items, fcp);
     }
     fn run_finished(&mut self, outcome: &MiningOutcome) {
         eprintln!("{} (done)", self.heartbeat(outcome.elapsed));
     }
 }
 
-/// Workers count privately; absorbing folds the counters in (indices of
-/// `pruned` follow [`PruneKind::ALL`]) and gives the throttle a chance
-/// to emit a heartbeat at the reconciliation points.
+/// Workers count into a private [`RunLedger`]; absorbing folds it in and
+/// gives the throttle a chance to emit a heartbeat at the reconciliation
+/// points.
 impl ShardableSink for ProgressSink {
-    type Shard = CountingSink;
-    fn make_shard(&self) -> CountingSink {
-        CountingSink::default()
+    type Shard = RunLedger;
+    fn make_shard(&self) -> RunLedger {
+        RunLedger::default()
     }
-    fn absorb_shard(&mut self, shard: CountingSink) {
-        self.nodes += shard.stats.nodes_visited;
-        self.results += shard.results_emitted;
-        self.pruned[0] += shard.stats.ch_pruned;
-        self.pruned[1] += shard.stats.freq_pruned;
-        self.pruned[2] += shard.stats.superset_pruned;
-        self.pruned[3] += shard.stats.subset_pruned;
-        self.pruned[4] += shard.stats.bound_rejected;
-        self.samples += shard.stats.samples_drawn;
-        let now = Instant::now();
-        if now.duration_since(self.last_report) >= self.interval {
-            self.last_report = now;
-            eprintln!("{}", self.heartbeat(now.duration_since(self.started)));
-        }
+    fn absorb_shard(&mut self, shard: RunLedger) {
+        self.ledger.absorb(&shard);
+        self.throttle();
     }
 }
 
@@ -1656,9 +1524,9 @@ mod tests {
     }
 
     #[test]
-    fn counting_sink_replays_events_identically() {
+    fn ledger_replays_events_identically() {
         let events = sample_events();
-        let mut live = CountingSink::default();
+        let mut live = RunLedger::default();
         // Drive the live callbacks directly...
         live.node_entered(1);
         live.freq_prob_evaluated(0.9985);
@@ -1676,15 +1544,11 @@ mod tests {
             frequent_probability: 0.95,
         }));
         // ...and replay the recorded form of the same run.
-        let mut replayed = CountingSink::default();
+        let mut replayed = RunLedger::default();
         for e in &events {
             replayed.absorb_event(e);
         }
-        assert_eq!(live.stats, replayed.stats);
-        assert_eq!(live.timers, replayed.timers);
-        assert_eq!(live.audit, replayed.audit);
-        assert_eq!(live.results_emitted, replayed.results_emitted);
-        assert_eq!(live.pattern_deltas, replayed.pattern_deltas);
+        assert_eq!(live, replayed);
         assert_eq!(replayed.pattern_deltas, 1);
         assert_eq!(replayed.audit.incremental, 1);
         assert_eq!(replayed.audit.refusals(), 2);
@@ -1755,14 +1619,14 @@ mod tests {
 
     #[test]
     fn option_sink_forwards_some_and_discards_none() {
-        let mut some: Option<CountingSink> = Some(CountingSink::default());
+        let mut some: Option<RunLedger> = Some(RunLedger::default());
         some.node_entered(1);
         some.prune_fired(PruneKind::FreqProb);
         assert!(some.is_enabled());
         assert_eq!(some.as_ref().unwrap().stats.nodes_visited, 1);
         assert_eq!(some.as_ref().unwrap().stats.freq_pruned, 1);
 
-        let mut none: Option<CountingSink> = None;
+        let mut none: Option<RunLedger> = None;
         none.node_entered(1);
         assert!(!none.is_enabled());
         assert!(none.is_none());
@@ -1770,7 +1634,7 @@ mod tests {
 
     #[test]
     fn tee_forwards_to_both() {
-        let mut tee = Tee(CountingSink::default(), RecordingSink::default());
+        let mut tee = Tee(RunLedger::default(), RecordingSink::default());
         tee.node_entered(1);
         tee.prune_fired(PruneKind::Subset);
         assert_eq!(tee.0.stats.nodes_visited, 1);
@@ -1849,26 +1713,10 @@ mod tests {
     }
 
     #[test]
-    fn progress_shard_reconciles_counters() {
-        let mut progress = ProgressSink::new().with_interval(Duration::from_secs(3600));
-        let mut shard = progress.make_shard();
-        shard.node_entered(1);
-        shard.node_entered(2);
-        shard.prune_fired(PruneKind::Subset);
-        shard.fcp_evaluated(FcpEvalKind::Sampled, 123);
-        shard.result_emitted(&[Item(0)], 0.9);
-        progress.absorb_shard(shard);
-        assert_eq!(progress.nodes, 2);
-        assert_eq!(progress.results, 1);
-        assert_eq!(progress.pruned, [0, 0, 0, 1, 0]);
-        assert_eq!(progress.samples, 123);
-    }
-
-    #[test]
     fn sharded_sink_adapter_round_trips() {
-        let mut counting = CountingSink::default();
+        let mut ledger = RunLedger::default();
         {
-            let mut sharded = ShardedSink::new(&mut counting);
+            let mut sharded = ShardedSink::new(&mut ledger);
             let mut a = sharded.shard();
             let mut b = sharded.shard();
             a.node_entered(1);
@@ -1878,13 +1726,13 @@ mod tests {
             sharded.absorb(b);
             sharded.parent().node_entered(3);
         }
-        assert_eq!(counting.stats.nodes_visited, 3);
-        assert_eq!(counting.stats.freq_pruned, 1);
+        assert_eq!(ledger.stats.nodes_visited, 3);
+        assert_eq!(ledger.stats.freq_pruned, 1);
     }
 
     #[test]
     fn option_and_tee_shards_compose() {
-        let mut sink = Tee(Some(CountingSink::default()), RecordingSink::default());
+        let mut sink = Tee(Some(RunLedger::default()), RecordingSink::default());
         let mut shard = sink.make_shard();
         shard.node_entered(1);
         shard.prune_fired(PruneKind::Superset);
@@ -1893,7 +1741,7 @@ mod tests {
         assert_eq!(sink.0.as_ref().unwrap().stats.superset_pruned, 1);
         assert_eq!(sink.1.events.len(), 2);
 
-        let mut none: Option<CountingSink> = None;
+        let mut none: Option<RunLedger> = None;
         let shard = none.make_shard();
         assert!(shard.is_none());
         none.absorb_shard(shard);
@@ -1904,8 +1752,8 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn counting_from(codes: &[u8]) -> CountingSink {
-            let mut s = CountingSink::default();
+        fn ledger_from(codes: &[u8]) -> RunLedger {
+            let mut s = RunLedger::default();
             for &c in codes {
                 fire(c, &mut s);
             }
@@ -1915,34 +1763,30 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// `CountingSink::merge` is commutative and associative, so
+            /// `RunLedger::absorb` is commutative and associative, so
             /// any shard reconciliation order yields the single-sink
             /// totals.
             #[test]
-            fn counting_merge_is_commutative_and_associative(
+            fn ledger_absorb_is_commutative_and_associative(
                 a in proptest::collection::vec(0u8..=255, 0..40),
                 b in proptest::collection::vec(0u8..=255, 0..40),
                 c in proptest::collection::vec(0u8..=255, 0..40),
             ) {
-                let (sa, sb, sc) = (counting_from(&a), counting_from(&b), counting_from(&c));
+                let (sa, sb, sc) = (ledger_from(&a), ledger_from(&b), ledger_from(&c));
                 // Commutativity.
                 let mut ab = sa;
-                ab.merge(&sb);
+                ab.absorb(&sb);
                 let mut ba = sb;
-                ba.merge(&sa);
-                prop_assert_eq!(ab.stats, ba.stats);
-                prop_assert_eq!(ab.timers, ba.timers);
-                prop_assert_eq!(ab.results_emitted, ba.results_emitted);
+                ba.absorb(&sa);
+                prop_assert_eq!(ab, ba);
                 // Associativity.
                 let mut ab_c = ab;
-                ab_c.merge(&sc);
+                ab_c.absorb(&sc);
                 let mut bc = sb;
-                bc.merge(&sc);
+                bc.absorb(&sc);
                 let mut a_bc = sa;
-                a_bc.merge(&bc);
-                prop_assert_eq!(ab_c.stats, a_bc.stats);
-                prop_assert_eq!(ab_c.timers, a_bc.timers);
-                prop_assert_eq!(ab_c.results_emitted, a_bc.results_emitted);
+                a_bc.absorb(&bc);
+                prop_assert_eq!(ab_c, a_bc);
             }
 
             /// Splitting an event stream into shards at an arbitrary
@@ -1954,13 +1798,11 @@ mod tests {
                 split_at in 0usize..81,
             ) {
                 let split = split_at.min(codes.len());
-                let single = counting_from(&codes);
-                let mut sharded = CountingSink::default();
-                sharded.absorb_shard(counting_from(&codes[..split]));
-                sharded.absorb_shard(counting_from(&codes[split..]));
-                prop_assert_eq!(single.stats, sharded.stats);
-                prop_assert_eq!(single.timers, sharded.timers);
-                prop_assert_eq!(single.results_emitted, sharded.results_emitted);
+                let single = ledger_from(&codes);
+                let mut sharded = RunLedger::default();
+                sharded.absorb_shard(ledger_from(&codes[..split]));
+                sharded.absorb_shard(ledger_from(&codes[split..]));
+                prop_assert_eq!(single, sharded);
 
                 let mut rec_single = RecordingSink::default();
                 for &c in &codes {
@@ -1983,20 +1825,20 @@ mod tests {
 
     #[test]
     fn timed_accumulates_and_notifies() {
-        let mut timers = PhaseTimers::default();
-        let mut rec = RecordingSink::default();
-        let out = timed(Phase::EventBuild, &mut timers, &mut rec, || 41 + 1);
+        let mut sink = Tee(RunLedger::default(), RecordingSink::default());
+        let out = timed(Phase::EventBuild, &mut sink, || 41 + 1);
         assert_eq!(out, 42);
-        assert_eq!(timers.count(Phase::EventBuild), 1);
-        assert_eq!(rec.events.len(), 2);
+        assert_eq!(sink.0.timers.count(Phase::EventBuild), 1);
+        let events = &sink.1.events;
+        assert_eq!(events.len(), 2);
         assert!(matches!(
-            rec.events[0],
+            events[0],
             TraceEvent::PhaseStart {
                 phase: Phase::EventBuild
             }
         ));
         assert!(matches!(
-            rec.events[1],
+            events[1],
             TraceEvent::PhaseEnd {
                 phase: Phase::EventBuild,
                 ..

@@ -31,6 +31,15 @@ use crate::transaction::UncertainTransaction;
 /// over 30,000 rows; Mushroom: 119 items over 8,124 rows).
 pub const MAX_INDEX_WORDS: u64 = 1 << 27;
 
+/// Words of item index a database of `rows` rows needs when it names
+/// item ids up to `max_id`: one tid-set per id, each a header plus
+/// `⌈rows / 64⌉` bitmap words. Inputs past [`MAX_INDEX_WORDS`] are
+/// refused.
+pub fn index_words(max_id: u32, rows: usize) -> u64 {
+    let header = (std::mem::size_of::<TidSet>() / 8) as u64;
+    (u64::from(max_id) + 1).saturating_mul(rows.div_ceil(64) as u64 + header)
+}
+
 /// Errors raised when parsing a `.dat` file.
 #[derive(Debug)]
 pub enum ParseError {
@@ -121,9 +130,7 @@ pub fn parse_dat(text: &str) -> Result<UncertainDatabase, ParseError> {
         transactions.push(UncertainTransaction::new(items, probability));
     }
     if let Some((id, line)) = widest {
-        let header = (std::mem::size_of::<TidSet>() / 8) as u64;
-        let per_item = transactions.len().div_ceil(64) as u64 + header;
-        let words = (u64::from(id) + 1).saturating_mul(per_item);
+        let words = index_words(id, transactions.len());
         if words > MAX_INDEX_WORDS {
             return Err(ParseError::Malformed {
                 line,

@@ -10,6 +10,16 @@ run() {
     "$@"
 }
 
+# The smokes below start background processes; a failing step must not
+# leave them running.
+telpid="" servepid="" qpid=""
+cleanup() {
+    for pid in $telpid $servepid $qpid; do
+        kill "$pid" 2>/dev/null || true
+    done
+}
+trap cleanup EXIT
+
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo test --workspace -q

@@ -773,6 +773,18 @@ fn run_stream() -> ExitCode {
             }
         };
         if let Some(&max) = items.last() {
+            // The window indexes every id up to `max`, as a `.dat` file
+            // naming it would; refusing what `parse_dat` refuses also
+            // keeps `next_item` below `u32::MAX`.
+            let words = io::index_words(max, window);
+            if words > io::MAX_INDEX_WORDS {
+                eprintln!(
+                    "error: line {line_no}: item id {max} over a {window}-row window needs \
+                     a {words}-word item index (cap {})",
+                    io::MAX_INDEX_WORDS
+                );
+                return ExitCode::FAILURE;
+            }
             while next_item <= max {
                 sm.dictionary_mut().intern(&next_item.to_string());
                 next_item += 1;
@@ -1237,5 +1249,80 @@ fn run_top() -> ExitCode {
             return ExitCode::SUCCESS;
         }
         std::thread::sleep(Duration::from_millis(interval_ms));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The grammar tokens of the `.dat` and stream-JSONL formats, plus
+    /// what breaks them: ids past `u32` and past the index cap,
+    /// non-finite and subnormal probabilities, stray JSON punctuation and
+    /// a multi-byte character. Few single digits, so the soup seldom
+    /// forms a mid-sized id whose index would be slow to build.
+    const TOKENS: &[&str] = &[
+        "0",
+        "1",
+        "7",
+        " ",
+        "\t",
+        "\n",
+        "\r",
+        ":",
+        "#",
+        "{",
+        "}",
+        "[",
+        "]",
+        ",",
+        "\"",
+        "\"p\"",
+        "\"items\"",
+        "4294967295",
+        "99999999999",
+        "0.5",
+        "1e-320",
+        "NaN",
+        "inf",
+        "-inf",
+        "-",
+        ".",
+        "e",
+        "é",
+    ];
+
+    fn soup(picks: Vec<u8>) -> String {
+        picks
+            .into_iter()
+            .map(|i| TOKENS[usize::from(i) % TOKENS.len()])
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary token soup gives a database or an error, never a
+        /// panic.
+        #[test]
+        fn parse_dat_never_panics(
+            picks in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let _ = io::parse_dat(&soup(picks));
+        }
+
+        /// Arbitrary token soup gives a transaction, a skip or an error,
+        /// never a panic — also inside an object and an items array,
+        /// where the soup reaches the id and probability parsers.
+        #[test]
+        fn parse_stream_line_never_panics(
+            picks in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let text = soup(picks);
+            let _ = parse_stream_line(&text);
+            let _ = parse_stream_line(&format!("{{{text}}}"));
+            let _ = parse_stream_line(&format!("{{\"items\":[{text}}}"));
+        }
     }
 }

@@ -130,3 +130,44 @@ fn bad_usage_exits_nonzero() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// Run `pfcim stream -` over `input`, killing it if it has not exited
+/// within ten seconds.
+fn stream(input: &str) -> std::process::Output {
+    let mut child = bin()
+        .args(["stream", "-", "--window", "4", "--min-sup", "1"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().unwrap();
+            panic!("pfcim stream did not finish on {input:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
+}
+
+#[test]
+fn stream_refuses_an_item_id_it_cannot_index() {
+    let out = stream("{\"items\":[1,2],\"p\":0.5}\n{\"items\":[4294967295],\"p\":0.5}\n");
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("line 2") && stderr.contains("4294967295"),
+        "{stderr}"
+    );
+
+    let out = stream("{\"items\":[1,2],\"p\":0.5}\n{\"items\":[2,3],\"p\":0.9}\n");
+    assert!(out.status.success(), "{out:?}");
+}

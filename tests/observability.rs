@@ -1,49 +1,27 @@
 //! End-to-end checks of the tracing layer through the public facade:
-//! trace events must reconcile exactly with the miner's own counters,
-//! observation must not perturb mining, and JSONL traces must survive a
-//! round trip through a real file.
+//! observation must not perturb mining, and a run's trace, recorded or
+//! round-tripped through a real JSONL file, must replay into the run's
+//! own counters.
 
 mod common;
 
 use common::TempPath;
 use pfcim::core::{
-    parse_jsonl, Algorithm, CountingSink, HistogramSink, JsonlSink, Miner, MinerConfig,
-    MiningOutcome, NullSink, Phase, RecordingSink, SearchStrategy, ShardableSink, TraceEvent,
+    parse_jsonl, Algorithm, HistogramSink, JsonlSink, KernelStats, Miner, MinerConfig,
+    MiningOutcome, NullSink, Phase, RecordingSink, RunLedger, SearchStrategy, ShardableSink,
+    TraceEvent,
 };
 use pfcim::utdb::UncertainDatabase;
 
-fn mine_dfs_with<S: ShardableSink + ?Sized>(
+fn mine_with<S: ShardableSink + ?Sized>(
+    algorithm: Algorithm,
     db: &UncertainDatabase,
     cfg: &MinerConfig,
     sink: &mut S,
 ) -> MiningOutcome {
     Miner::new(db)
         .config(cfg.clone())
-        .algorithm(Algorithm::Dfs)
-        .sink(sink)
-        .run()
-}
-
-fn mine_bfs_with<S: ShardableSink + ?Sized>(
-    db: &UncertainDatabase,
-    cfg: &MinerConfig,
-    sink: &mut S,
-) -> MiningOutcome {
-    Miner::new(db)
-        .config(cfg.clone())
-        .algorithm(Algorithm::Bfs)
-        .sink(sink)
-        .run()
-}
-
-fn mine_naive_with<S: ShardableSink + ?Sized>(
-    db: &UncertainDatabase,
-    cfg: &MinerConfig,
-    sink: &mut S,
-) -> MiningOutcome {
-    Miner::new(db)
-        .config(cfg.clone())
-        .algorithm(Algorithm::Naive)
+        .algorithm(algorithm)
         .sink(sink)
         .run()
 }
@@ -69,86 +47,20 @@ fn bfs_config() -> MinerConfig {
     cfg
 }
 
-type Runner = fn(&UncertainDatabase, &MinerConfig, &mut CountingSink) -> MiningOutcome;
-
-fn all_miners() -> [(&'static str, MinerConfig, Runner); 3] {
+fn all_miners() -> [(&'static str, Algorithm, MinerConfig); 3] {
     [
-        ("dfs", config(), |db, cfg, sink| {
-            mine_dfs_with(db, cfg, sink)
-        }),
-        ("bfs", bfs_config(), |db, cfg, sink| {
-            mine_bfs_with(db, cfg, sink)
-        }),
-        ("naive", config(), |db, cfg, sink| {
-            mine_naive_with(db, cfg, sink)
-        }),
+        ("dfs", Algorithm::Dfs, config()),
+        ("bfs", Algorithm::Bfs, bfs_config()),
+        ("naive", Algorithm::Naive, config()),
     ]
 }
 
-#[test]
-fn counting_sink_reconciles_with_miner_stats() {
-    // Every counter the miner reports must correspond one-to-one with
-    // events delivered to the sink, for each search strategy.
-    let db = table2();
-    for (name, cfg, run) in all_miners() {
-        let mut sink = CountingSink::default();
-        let outcome = run(&db, &cfg, &mut sink);
-        assert_eq!(
-            sink.stats, outcome.stats,
-            "{name}: sink-counted stats diverge from MinerStats"
-        );
-        assert_eq!(
-            sink.results_emitted,
-            outcome.results.len() as u64,
-            "{name}: result_emitted events diverge from result count"
-        );
-        assert_eq!(
-            sink.timers, outcome.timers,
-            "{name}: phase_end events diverge from PhaseTimers"
-        );
-    }
-}
-
-#[test]
-fn dp_decision_audit_reconciles_with_kernel_counters() {
-    // Every frequentness-DP row decision carries exactly one recorded
-    // reason: downdates match the kernel's incremental counter, and the
-    // per-reason rebuild counters (including the refusal reasons) sum
-    // exactly to the kernel's recompute counter — for every strategy,
-    // both via the sink's copy and the outcome's.
-    let db = table2();
-    for (name, cfg, run) in all_miners() {
-        let mut sink = CountingSink::default();
-        let outcome = run(&db, &cfg, &mut sink);
-        assert_eq!(
-            sink.audit, outcome.audit,
-            "{name}: sink-audited decisions diverge from the outcome audit"
-        );
-        assert_eq!(
-            outcome.audit.incremental, outcome.kernel.dp_incremental,
-            "{name}: incremental decisions vs kernel counter"
-        );
-        assert_eq!(
-            outcome.audit.recomputed(),
-            outcome.kernel.dp_recomputed,
-            "{name}: per-reason rebuilds must sum to dp_recomputed"
-        );
-        assert!(
-            outcome.audit.refusals() <= outcome.audit.recomputed(),
-            "{name}: refusals are a subset of rebuilds"
-        );
-        if name == "naive" {
-            // The Naive baseline runs its DPs in the PFI stage, outside
-            // the audited evaluator: the audit stays empty rather than
-            // inventing unattributable decisions.
-            assert_eq!(outcome.audit.total(), 0, "naive audit stays empty");
-        } else {
-            assert_eq!(
-                outcome.audit.total(),
-                outcome.kernel.dp_rows(),
-                "{name}: one decision per DP row"
-            );
-        }
+/// The part of a run's ledger its events carry: everything but the
+/// kernel's cache and bitmap counters, which have no event.
+fn event_counters(ledger: RunLedger) -> RunLedger {
+    RunLedger {
+        kernel: KernelStats::default(),
+        ..ledger
     }
 }
 
@@ -157,13 +69,9 @@ fn observation_does_not_perturb_mining() {
     // A fully-instrumented run must produce byte-identical results and
     // counters to the NullSink fast path.
     let db = table2();
-    for (name, cfg, run) in all_miners() {
-        let baseline = match name {
-            "dfs" => mine_dfs_with(&db, &cfg, &mut NullSink),
-            "bfs" => mine_bfs_with(&db, &cfg, &mut NullSink),
-            _ => mine_naive_with(&db, &cfg, &mut NullSink),
-        };
-        let observed = run(&db, &cfg, &mut CountingSink::default());
+    for (name, algorithm, cfg) in all_miners() {
+        let baseline = mine_with(algorithm, &db, &cfg, &mut NullSink);
+        let observed = mine_with(algorithm, &db, &cfg, &mut RunLedger::default());
         assert_eq!(
             baseline.results, observed.results,
             "{name}: observation changed the mined results"
@@ -179,34 +87,16 @@ fn observation_does_not_perturb_mining() {
 #[test]
 fn histogram_sink_does_not_perturb_and_reconciles() {
     // Recording full latency/size distributions must not change what is
-    // mined, and the snapshot's counters must mirror the run's stats.
+    // mined, and each distribution holds one sample per observed call.
     let db = table2();
-    for (name, cfg, _) in all_miners() {
-        let baseline = match name {
-            "dfs" => mine_dfs_with(&db, &cfg, &mut NullSink),
-            "bfs" => mine_bfs_with(&db, &cfg, &mut NullSink),
-            _ => mine_naive_with(&db, &cfg, &mut NullSink),
-        };
+    for (name, algorithm, cfg) in all_miners() {
+        let baseline = mine_with(algorithm, &db, &cfg, &mut NullSink);
         let mut sink = HistogramSink::new();
-        let observed = match name {
-            "dfs" => mine_dfs_with(&db, &cfg, &mut sink),
-            "bfs" => mine_bfs_with(&db, &cfg, &mut sink),
-            _ => mine_naive_with(&db, &cfg, &mut sink),
-        };
+        let observed = mine_with(algorithm, &db, &cfg, &mut sink);
         assert_eq!(baseline.results, observed.results, "{name}: results moved");
         assert_eq!(baseline.stats, observed.stats, "{name}: counters moved");
 
         let reg = sink.snapshot();
-        assert_eq!(
-            reg.counter("nodes_visited"),
-            Some(observed.stats.nodes_visited),
-            "{name}"
-        );
-        assert_eq!(
-            reg.counter("results"),
-            Some(observed.results.len() as u64),
-            "{name}"
-        );
         assert_eq!(reg.counter("runs"), Some(1), "{name}");
         assert_eq!(
             reg.get_histogram("node_depth").map_or(0, |h| h.count()),
@@ -237,7 +127,7 @@ fn recording_sink_replays_into_the_same_aggregates() {
     // enough information to rebuild the run's statistics.
     let db = table2();
     let mut recorder = RecordingSink::default();
-    let outcome = mine_dfs_with(&db, &config(), &mut recorder);
+    let outcome = mine_with(Algorithm::Dfs, &db, &config(), &mut recorder);
     assert!(matches!(
         recorder.events.first(),
         Some(TraceEvent::RunStart { .. })
@@ -246,43 +136,44 @@ fn recording_sink_replays_into_the_same_aggregates() {
         recorder.events.last(),
         Some(TraceEvent::RunEnd { .. })
     ));
-    let mut counted = CountingSink::default();
+    let mut replayed = RunLedger::default();
     for event in &recorder.events {
-        counted.absorb_event(event);
+        replayed.absorb_event(event);
     }
-    assert_eq!(counted.stats, outcome.stats);
-    assert_eq!(counted.timers, outcome.timers);
-    assert_eq!(counted.results_emitted, outcome.results.len() as u64);
+    assert_eq!(replayed, event_counters(outcome.ledger()));
 }
 
 #[test]
 fn jsonl_trace_round_trips_through_a_file() {
-    // Stream DFS and BFS runs into one JSONL file, read it back, and
-    // check the parsed events reconcile with both runs' summed stats.
+    // Stream DFS, BFS and Naive runs at one and four threads into one
+    // JSONL file, read it back, and replay it into a ledger: it must
+    // equal the runs' own ledgers summed, so the trace is complete.
     let db = table2();
     let path = TempPath::new("observability_trace", "jsonl");
     let mut sink = JsonlSink::create(&path).expect("create trace file");
-    let dfs = mine_dfs_with(&db, &config(), &mut sink);
-    let bfs = mine_bfs_with(&db, &bfs_config(), &mut sink);
+    let mut live = RunLedger::default();
+    let mut mined = Vec::new();
+    for threads in [1, 4] {
+        for (name, algorithm, cfg) in all_miners() {
+            let outcome = mine_with(algorithm, &db, &cfg.with_threads(threads), &mut sink);
+            live.absorb(&outcome.ledger());
+            mined.push(name);
+        }
+    }
     sink.finish().expect("flush trace file");
 
     let text = std::fs::read_to_string(&path).expect("re-read trace file");
     let events = parse_jsonl(&text).expect("parse trace file");
     assert_eq!(events.len(), text.lines().count());
 
-    let mut counted = CountingSink::default();
+    let mut replayed = RunLedger::default();
     for event in &events {
-        counted.absorb_event(event);
+        replayed.absorb_event(event);
     }
-    let mut expected = dfs.stats;
-    expected.absorb(&bfs.stats);
-    assert_eq!(counted.stats, expected);
-    assert_eq!(
-        counted.results_emitted,
-        (dfs.results.len() + bfs.results.len()) as u64
-    );
+    assert_eq!(replayed, event_counters(live));
+    assert!(live.audit.total() > 0 && live.stats.fcp_sampled > 0);
 
-    // The two runs are delimited by their run_start algo tags.
+    // The runs are delimited by their run_start algo tags.
     let algos: Vec<&str> = events
         .iter()
         .filter_map(|e| match e {
@@ -290,5 +181,5 @@ fn jsonl_trace_round_trips_through_a_file() {
             _ => None,
         })
         .collect();
-    assert_eq!(algos, ["dfs", "bfs"]);
+    assert_eq!(algos, mined);
 }

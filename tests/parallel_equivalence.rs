@@ -21,8 +21,8 @@
 use std::io::{self, Write};
 
 use pfcim::core::{
-    parse_jsonl, Algorithm, CountingSink, FcpMethod, JsonlSink, Miner, MinerConfig, MiningOutcome,
-    NullSink, ShardableSink, TraceEvent, Variant,
+    parse_jsonl, Algorithm, FcpMethod, JsonlSink, Miner, MinerConfig, MiningOutcome, NullSink,
+    RunLedger, ShardableSink, TraceEvent, Variant,
 };
 use pfcim::utdb::gen::{MushroomConfig, QuestConfig};
 use pfcim::utdb::{assign_gaussian_probabilities, UncertainDatabase};
@@ -142,7 +142,7 @@ fn exact_mode_is_bit_identical_across_thread_counts_on_paper_examples() {
         for variant in Variant::ALL {
             let sequential = mine_with(&db, &exact_cfg(2, variant, 1), &mut NullSink);
             for &threads in &thread_counts() {
-                let mut sink = CountingSink::default();
+                let mut sink = RunLedger::default();
                 let parallel = mine_with(&db, &exact_cfg(2, variant, threads), &mut sink);
                 let label = format!("{name}/{}/threads={threads}", variant.name());
                 assert_outcomes_identical(&label, &sequential, &parallel);
@@ -309,7 +309,7 @@ fn oversubscribed_stress_run_terminates_and_reconciles() {
     let min_sup = db.len() / 4;
     let start = std::time::Instant::now();
     let cfg = MinerConfig::new(min_sup, 0.8).with_threads(64);
-    let mut sink = CountingSink::default();
+    let mut sink = RunLedger::default();
     let stressed = mine_dfs_with(&db, &cfg, &mut sink);
     assert!(
         start.elapsed() < std::time::Duration::from_secs(60),
