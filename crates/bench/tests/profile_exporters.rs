@@ -149,10 +149,6 @@ fn prometheus_export_of_a_real_run_lints_clean() {
     // The DP decision audit rides along as counters; on this dataset
     // the incremental path must actually fire.
     assert!(text.contains("# TYPE pfcim_audit_incremental counter"));
-    assert_eq!(
-        outcome.audit.incremental, outcome.kernel.dp_incremental,
-        "audit reconciles with the kernel counter"
-    );
     assert!(
         outcome.kernel.dp_incremental > 0,
         "the high-probability dataset must exercise the downdate path"

@@ -26,7 +26,10 @@
 //! min_sup}` an earlier build of the run computed for the same `T(X∪e)`.
 //! The memo is per evaluator (one per parallel worker, so lock-free) and
 //! dies with the run, since `min_sup` and the database change between
-//! serve queries and stream steps. Capacity `0` turns both off.
+//! serve queries and stream steps. The depth-first miner also offers it
+//! the tail of every DP row it builds from scratch
+//! ([`Evaluator::offer_tail`]), so the parent's table build finds the
+//! child's tail instead of recomputing it. Capacity `0` turns both off.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,7 +41,7 @@ use utdb::{Item, TidBitmap, UncertainDatabase};
 
 use crate::cache::SharedEventCache;
 use crate::config::{FcpMethod, MinerConfig};
-use crate::events::{BoundTier, EventTable, NonClosureEvents, TailMemo, MAX_EXACT_TERMS};
+use crate::events::{BoundTier, EventTable, MemoSlot, NonClosureEvents, TailMemo, MAX_EXACT_TERMS};
 use crate::fcp::{approx_fcp_adaptive_traced, approx_fcp_chunked_traced, approx_fcp_traced};
 use crate::result::{MiningOutcome, Pfci};
 use crate::stats::RunLedger;
@@ -160,6 +163,25 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
             None => {}
         }
         events
+    }
+
+    /// Hand the run's tail memo `tail = Pr{sup(X∪e) ≥ min_sup}` over
+    /// `xe_tids = x_tids ∧ T(item)`, computed by pushing the ascending-tid
+    /// probabilities of `xe_tids` (a fresh DP row's
+    /// [`prob::TailDp::fresh_tail`]). `x_slot` is where `x_tids` sits in
+    /// the memo, registered on first use. Nothing is stored when the
+    /// event cache is off, since the builds then do not read the memo.
+    pub fn offer_tail(
+        &mut self,
+        x_tids: &TidBitmap,
+        x_slot: &mut MemoSlot,
+        item: Item,
+        xe_tids: &TidBitmap,
+        tail: f64,
+    ) {
+        if self.cache.capacity() != 0 {
+            self.tail_memo.offer(x_tids, x_slot, item, xe_tids, tail);
+        }
     }
 
     /// Full checking phase for an itemset that survived all prunings:

@@ -123,22 +123,26 @@ struct BuildScratch {
     /// `T(X∪e) = T(X) ∧ T(e)` of the current item, over the database's
     /// tids: the screen's popcount and the tail memo's key.
     xe_tids: TidBitmap,
+    /// Every position of `T(X)`: the mask's zero bits are its
+    /// difference with this.
+    all: TidBitmap,
     /// Existential probabilities at the current item's mask positions.
     mask_probs: Vec<f64>,
     /// Tail-DP row.
     dp: Vec<f64>,
     /// Where this build's `T(X)` sits in the memo's arena, once an entry
     /// computed under it has been stored.
-    x_slot: Option<u32>,
+    x_slot: MemoSlot,
 }
 
 impl BuildScratch {
-    fn new(min_sup: usize) -> Self {
+    fn new(min_sup: usize, positions: usize) -> Self {
         Self {
             xe_tids: TidBitmap::new(0),
+            all: TidBitmap::full(positions),
             mask_probs: Vec::new(),
             dp: vec![0.0; min_sup + 1],
-            x_slot: None,
+            x_slot: MemoSlot::default(),
         }
     }
 }
@@ -155,12 +159,18 @@ impl BuildScratch {
 /// longer than the run that owns it.
 ///
 /// Keys are stored compactly: a fingerprint of `T(X∪e)` maps to the slot
-/// of `T(X)` in a flat word arena (one slot per build), the item `e` and
-/// the tail. Every fingerprint match is verified by recomputing
-/// `T(X) ∧ T(e)` word-wise against the key; a collision falls back to a
-/// fresh DP and is not stored. A hit returns the very float the DP
-/// returned for the same ascending-tid probability slice, so memoized
-/// and fresh tails are bit-identical.
+/// of `T(X)` in a flat word arena (one slot per build, or per DFS node
+/// that offered a tail), the item `e` and the tail. Every fingerprint
+/// match is verified by recomputing `T(X) ∧ T(e)` word-wise against the
+/// key; a collision falls back to a fresh DP and is not stored. A hit
+/// returns the very float the DP returned for the same ascending-tid
+/// probability slice, so memoized and fresh tails are bit-identical.
+///
+/// Besides the builds, the depth-first miner [offers](TailMemo::offer)
+/// the tail of every DP row it builds from scratch: a fresh row over
+/// `T(X∪e)` carries the absorbing-state tail of the same pushes
+/// ([`prob::TailDp::fresh_tail`]), which is the float a build of `X`'s
+/// table would compute for `e`.
 pub(crate) struct TailMemo {
     min_sup: usize,
     /// Words of one tid-set (fixed by the database).
@@ -170,7 +180,15 @@ pub(crate) struct TailMemo {
     index: HashMap<u64, TailEntry>,
     /// Footprint past which the memo starts over.
     max_bytes: usize,
+    /// Bumped at every start-over, so slots registered before it read as
+    /// unregistered.
+    generation: u32,
 }
+
+/// Where a tid-set sits in a [`TailMemo`]'s arena, if it was registered
+/// since the memo last started over.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct MemoSlot(Option<(u32, u32)>);
 
 #[derive(Clone, Copy)]
 struct TailEntry {
@@ -194,6 +212,7 @@ impl TailMemo {
             arena: Vec::new(),
             index: HashMap::new(),
             max_bytes: TAIL_MEMO_MAX_BYTES,
+            generation: 0,
         }
     }
 
@@ -220,7 +239,7 @@ impl TailMemo {
         &mut self,
         db: &UncertainDatabase,
         x_tids: &TidBitmap,
-        x_slot: &mut Option<u32>,
+        x_slot: &mut MemoSlot,
         item: Item,
         xe_tids: &TidBitmap,
         fresh: impl FnOnce() -> f64,
@@ -235,67 +254,100 @@ impl TailMemo {
             };
         }
         let tail = fresh();
+        self.store(x_tids, x_slot, fingerprint, item, tail);
+        tail
+    }
+
+    /// Store `tail`, the frequentness tail over `xe_tids = x_tids ∧
+    /// T(item)` in ascending tid order, unless the key's fingerprint is
+    /// taken: by the same key, or by a collision, which is not stored.
+    pub(crate) fn offer(
+        &mut self,
+        x_tids: &TidBitmap,
+        x_slot: &mut MemoSlot,
+        item: Item,
+        xe_tids: &TidBitmap,
+        tail: f64,
+    ) {
+        debug_assert_eq!(xe_tids.word_len(), self.words_per_set);
+        let fingerprint = xe_tids.fingerprint();
+        if !self.index.contains_key(&fingerprint) {
+            self.store(x_tids, x_slot, fingerprint, item, tail);
+        }
+    }
+
+    fn store(
+        &mut self,
+        x_tids: &TidBitmap,
+        x_slot: &mut MemoSlot,
+        fingerprint: u64,
+        item: Item,
+        tail: f64,
+    ) {
         let growth = self.words_per_set * size_of::<u64>() + size_of::<(u64, TailEntry)>();
         if self.bytes() + growth > self.max_bytes {
             self.arena.clear();
             self.index.clear();
-            *x_slot = None;
+            self.generation = self.generation.wrapping_add(1);
         }
-        let slot = *x_slot.get_or_insert_with(|| {
-            self.arena.extend_from_slice(x_tids.words());
-            (self.arena.len() / self.words_per_set - 1) as u32
-        });
+        let slot = match x_slot.0 {
+            Some((generation, slot)) if generation == self.generation => slot,
+            _ => {
+                self.arena.extend_from_slice(x_tids.words());
+                let slot = (self.arena.len() / self.words_per_set - 1) as u32;
+                *x_slot = MemoSlot(Some((self.generation, slot)));
+                slot
+            }
+        };
         self.index
             .insert(fingerprint, TailEntry { slot, item, tail });
-        tail
     }
 }
 
 /// Shared event constructor: the mask / absence-factor / tail computation
 /// both [`NonClosureEvents::build`] and [`EventTable::build`] run per
-/// item. Returns `None` when `Pr(C_e) = 0`.
+/// item. `probs` are the existential probabilities of `T(X)`,
+/// position-indexed. Returns `None` when `Pr(C_e) = 0`.
 ///
 /// A word-level screen comes first: `|T(X) ∧ T(e)| < min_sup` makes the
-/// tail 0, so such items never reach the per-position scan.
+/// tail 0, so such items never reach the mask. The mask compacts
+/// `T(X) ∧ T(e)` into `T(X)`'s positions a word at a time, and the
+/// absence factor multiplies over its zero bits in ascending order, the
+/// multiplications of a per-position scan in the same order. The mask's
+/// probabilities are gathered only when the memo has no tail.
 fn event_for_item(
     db: &UncertainDatabase,
     x_tids: &TidBitmap,
-    positions: &[usize],
     probs: &[f64],
     item: Item,
     scratch: &mut BuildScratch,
     memo: &mut TailMemo,
 ) -> Option<NcEvent> {
     let min_sup = memo.min_sup;
-    let item_tids = db.bitmap_of(item);
-    x_tids.and_into(item_tids, &mut scratch.xe_tids);
-    if scratch.xe_tids.count() < min_sup {
+    let BuildScratch {
+        xe_tids,
+        all,
+        mask_probs,
+        dp,
+        x_slot,
+    } = scratch;
+    x_tids.and_into(db.bitmap_of(item), xe_tids);
+    if xe_tids.count() < min_sup {
         return None; // Pr{sup(X∪e) ≥ min_sup} = 0
     }
-    let mut mask = TidBitmap::new(positions.len());
-    let mask_probs = &mut scratch.mask_probs;
-    mask_probs.clear();
+    let mask = x_tids.positions_of(xe_tids);
     let mut absent_factor = 1.0f64;
-    for (pos, &tid) in positions.iter().enumerate() {
-        if item_tids.contains(tid) {
-            mask.insert(pos);
-            mask_probs.push(probs[pos]);
-        } else {
-            absent_factor *= 1.0 - probs[pos];
-        }
+    for pos in all.diff_iter(&mask) {
+        absent_factor *= 1.0 - probs[pos];
     }
     if absent_factor == 0.0 {
         return None; // Pr(C_e) = 0
     }
-    let dp = &mut scratch.dp;
-    let tail = memo.tail(
-        db,
-        x_tids,
-        &mut scratch.x_slot,
-        item,
-        &scratch.xe_tids,
-        || tail_at_least_with(mask_probs, min_sup, dp),
-    );
+    let tail = memo.tail(db, x_tids, x_slot, item, xe_tids, || {
+        mask_probs.clear();
+        mask_probs.extend(mask.iter().map(|pos| probs[pos]));
+        tail_at_least_with(mask_probs, min_sup, dp)
+    });
     let prob = absent_factor * tail;
     if prob <= 0.0 {
         return None;
@@ -316,22 +368,13 @@ impl NonClosureEvents {
     ) -> Self {
         let mut memo = TailMemo::new(db, min_sup);
         let min_sup = memo.min_sup;
-        let positions: Vec<usize> = x_tids.iter().collect();
-        let probs: Vec<f64> = positions.iter().map(|&tid| db.probability(tid)).collect();
-        let mut scratch = BuildScratch::new(min_sup);
+        let probs: Vec<f64> = x_tids.iter().map(|tid| db.probability(tid)).collect();
+        let mut scratch = BuildScratch::new(min_sup, probs.len());
         let mut events = Vec::new();
         let mut considered = 0usize;
         for item in extension_items {
             considered += 1;
-            if let Some(event) = event_for_item(
-                db,
-                x_tids,
-                &positions,
-                &probs,
-                item,
-                &mut scratch,
-                &mut memo,
-            ) {
+            if let Some(event) = event_for_item(db, x_tids, &probs, item, &mut scratch, &mut memo) {
                 events.push(event);
             }
         }
@@ -795,14 +838,11 @@ impl EventTable {
         memo: &mut TailMemo,
     ) -> Self {
         let min_sup = memo.min_sup;
-        let positions: Vec<usize> = tids.iter().collect();
-        let probs: Vec<f64> = positions.iter().map(|&tid| db.probability(tid)).collect();
-        let mut scratch = BuildScratch::new(min_sup);
+        let probs: Vec<f64> = tids.iter().map(|tid| db.probability(tid)).collect();
+        let mut scratch = BuildScratch::new(min_sup, probs.len());
         let considered = db.num_items();
         let entries = (0..considered as u32)
-            .filter_map(|id| {
-                event_for_item(db, tids, &positions, &probs, Item(id), &mut scratch, memo)
-            })
+            .filter_map(|id| event_for_item(db, tids, &probs, Item(id), &mut scratch, memo))
             .collect();
         Self {
             tids: tids.clone(),
@@ -1455,5 +1495,50 @@ pub(crate) mod tests {
             (0, other_item, 0.5f64.to_bits()),
             "a collision is not stored"
         );
+    }
+
+    #[test]
+    fn offered_row_tails_serve_builds_across_start_overs() {
+        let db = dense_db();
+        let min_sup = 48;
+        let n = db.num_items() as u32;
+        // A memo small enough to start over every few dozen entries: a
+        // node's slot must then read as unregistered, not point into the
+        // cleared arena.
+        for max_bytes in [None, Some(4096)] {
+            let mut memo = TailMemo::new(&db, min_sup);
+            if let Some(max_bytes) = max_bytes {
+                memo.max_bytes = max_bytes;
+            }
+            let mut starts = 0;
+            for x in small_itemsets(n).iter().filter(|x| x.len() <= 2) {
+                let x_tids = db.tidset_of_itemset(x).into_bitmap();
+                let mut slot = MemoSlot::default();
+                for e in (0..n).map(Item) {
+                    let xe_tids = x_tids.and(db.bitmap_of(e));
+                    if xe_tids.count() < min_sup {
+                        continue;
+                    }
+                    let probs: Vec<f64> = xe_tids.iter().map(|t| db.probability(t)).collect();
+                    let row = prob::TailDp::from_probs(min_sup, probs.iter().copied());
+                    let generation = memo.generation;
+                    memo.offer(&x_tids, &mut slot, e, &xe_tids, row.fresh_tail().unwrap());
+                    starts += usize::from(memo.generation != generation);
+                    let entry = memo.index[&xe_tids.fingerprint()];
+                    assert!(memo.verify(&db, &entry, &xe_tids), "X={x:?} e={e}");
+                    assert_eq!(
+                        entry.tail.to_bits(),
+                        prob::poisson_binomial::tail_at_least(&probs, min_sup).to_bits()
+                    );
+                }
+                let table = EventTable::build_memoized(&db, &x_tids, &mut memo);
+                assert_same_events(
+                    &table.family_excluding(x),
+                    &family_for(&db, x, min_sup),
+                    &format!("X={x:?} max_bytes={max_bytes:?}"),
+                );
+            }
+            assert_eq!(starts > 0, max_bytes.is_some(), "{starts} start-overs");
+        }
     }
 }

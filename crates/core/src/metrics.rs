@@ -608,7 +608,7 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
 /// | `approx_fcp_samples` | samples drawn per sampled FCP evaluation |
 /// | `fcp_bound_width` | `upper − lower` of each Lemma 4.4 bound pair |
 /// | `freq_prob` | the exact `Pr_F` values the DP returned |
-/// | `dp_refusal_magnitude` | magnitude of each refused `TailDp` removal (`dp_decision`) |
+/// | `dp_refusal_magnitude` | magnitude of each refused `TailDp` removal (`dp_decision`; a lower bound for certified refusals) |
 ///
 /// The counter side of the snapshot is each finished run's own
 /// [`RunLedger`], taken from the outcome at `run_finished`. Compose it

@@ -31,13 +31,22 @@
 //! factors — see [`TailDp::try_remove`]); a removal is refused (and the
 //! row rebuilt) only when that bound exceeds the configured tolerance
 //! ([`MinerConfig::dp_error_tol`]) or after `MAX_DOWNDATES`
-//! accumulated removals. The [`crate::stats::KernelStats`] counters
+//! accumulated removals. Before it clones the parent row to try, the
+//! miner asks the row for a refusal certificate
+//! ([`TailDp::refusal_certificate`]): a lower bound on the error the
+//! removals would measure. When that already exceeds the tolerance the
+//! downdate is certain to be refused, and the child is rebuilt without
+//! the attempt. A rebuilt row's absorbing-state tail is the event build's
+//! frequentness tail of the same transactions, so the miner offers it to
+//! the evaluator's tail memo, keyed by the child's tid-set, for the
+//! parent's post-order table build. The [`crate::stats::KernelStats`] counters
 //! report which path each node took. Both paths are deterministic
 //! functions of the node alone, so parallel fan-out stays bit-identical
 //! across thread counts. Per-node state (tid-bitmaps, DP rows) lives in
 //! a free-list arena reset per subtree root, so steady-state enumeration
 //! allocates nothing.
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -48,6 +57,7 @@ use utdb::{Item, TidBitmap, UncertainDatabase};
 use crate::cache::SharedEventCache;
 use crate::config::{MinerConfig, SearchStrategy};
 use crate::evaluator::Evaluator;
+use crate::events::MemoSlot;
 use crate::par;
 use crate::result::{MiningOutcome, Pfci};
 use crate::stats::RunLedger;
@@ -167,6 +177,7 @@ fn mine_dfs_sequential<S: MinerSink + ?Sized>(
     let mut miner = DfsMiner {
         evaluator: Evaluator::new(db, config, sink, cache),
         dropped: Vec::new(),
+        certificate: Vec::new(),
         arena: NodeArena::default(),
         items: Vec::new(),
         results: Vec::new(),
@@ -253,6 +264,7 @@ fn mine_dfs_parallel<S: ShardableSink + ?Sized>(
                 // roots — and all concurrent queries — share tables.
                 evaluator: Evaluator::new(db, &cfg, &mut shard, cache.clone()),
                 dropped: Vec::new(),
+                certificate: Vec::new(),
                 arena: NodeArena::default(),
                 items: Vec::new(),
                 results: Vec::new(),
@@ -301,12 +313,14 @@ fn mine_dfs_parallel<S: ShardableSink + ?Sized>(
 /// Everything the DFS carries per enumeration node: the tid-set bitmap,
 /// the live frequentness DP row over its transactions, the expected
 /// support, and the exact frequent probability — the state children
-/// derive from incrementally.
+/// derive from incrementally — plus where the tid-set sits in the tail
+/// memo once a child has offered a tail under it.
 struct NodeCtx {
     tids: TidBitmap,
     dp: TailDp,
     esup: f64,
     pr_f: f64,
+    memo_slot: Cell<MemoSlot>,
 }
 
 /// Free-list arena for per-node DFS state: tid-bitmaps and DP rows are
@@ -361,6 +375,8 @@ struct DfsMiner<'a, S: MinerSink + ?Sized> {
     /// Scratch for the dropped transactions' probabilities at each
     /// extension step (reused across nodes, no per-node allocation).
     dropped: Vec<f64>,
+    /// Scratch of [`TailDp::refusal_certificate`].
+    certificate: Vec<f64>,
     /// Recycled per-node tid-bitmaps and DP rows (reset per root).
     arena: NodeArena,
     /// The current itemset prefix (reused across roots).
@@ -378,7 +394,7 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
     fn mine_root(&mut self, item: Item) {
         self.arena.reset();
         let tids = self.evaluator.db.bitmap_of(item).clone();
-        if let Some(ctx) = self.qualify_root(tids) {
+        if let Some(ctx) = self.qualify_root(item, tids) {
             let mut items = std::mem::take(&mut self.items);
             items.clear();
             items.push(item);
@@ -388,11 +404,12 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
         }
     }
 
-    /// Is the root itemset with tid-set `tids` a probabilistic frequent
-    /// itemset? Builds the DP row from scratch (roots have no parent to
-    /// downdate from). Applies the Chernoff–Hoeffding refutation first
-    /// when enabled.
-    fn qualify_root(&mut self, tids: TidBitmap) -> Option<NodeCtx> {
+    /// Is the root itemset `{item}` with tid-set `tids` a probabilistic
+    /// frequent itemset? Builds the DP row from scratch (roots have no
+    /// parent to downdate from) and offers its tail to the memo under
+    /// `T(item) = T(item) ∧ T(item)`. Applies the Chernoff–Hoeffding
+    /// refutation first when enabled.
+    fn qualify_root(&mut self, item: Item, tids: TidBitmap) -> Option<NodeCtx> {
         let db = self.evaluator.db;
         let cfg = self.evaluator.cfg;
         let count = tids.count();
@@ -412,14 +429,21 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
             dp
         });
         sink.dp_decision(DpDecision::FreshRoot);
-        self.finish_qualify(tids, dp, esup)
+        let mut slot = MemoSlot::default();
+        if let Some(tail) = dp.fresh_tail() {
+            self.evaluator
+                .offer_tail(&tids, &mut slot, item, &tids, tail);
+        }
+        self.finish_qualify(tids, dp, esup, slot)
     }
 
-    /// Qualify a DFS child against its parent's node context. The dropped
-    /// transactions `T(X) \ T(X∪e)` are streamed word-level from the two
-    /// bitmaps; the DP row is downdated from the parent's when that is
-    /// both cheaper than a rebuild and numerically safe.
-    fn qualify_child(&mut self, parent: &NodeCtx, tids: TidBitmap) -> Option<NodeCtx> {
+    /// Qualify the DFS child `X∪ext` against its parent's node context.
+    /// The dropped transactions `T(X) \ T(X∪e)` are streamed word-level
+    /// from the two bitmaps; the DP row is downdated from the parent's
+    /// when that is both cheaper than a rebuild and not certified to be
+    /// refused, and kept when every removal fits the tolerance. A rebuilt
+    /// row's tail goes to the memo under the parent's tid-set and `ext`.
+    fn qualify_child(&mut self, parent: &NodeCtx, ext: Item, tids: TidBitmap) -> Option<NodeCtx> {
         let db = self.evaluator.db;
         let cfg = self.evaluator.cfg;
         let count = tids.count();
@@ -439,18 +463,21 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
         }
         let tol = cfg.dp_error_tol;
         let dropped = &self.dropped;
+        let certificate = &mut self.certificate;
         let mut pooled = self.arena.take_dp(cfg.min_sup);
         let mut sink = self.evaluator.observe();
         let (dp, decision) = timed(Phase::FreqDp, &mut sink, || {
             // Downdate when it is cheaper than a rebuild and every
             // removal's measured error bound fits the tolerance;
             // otherwise rebuild, recording the structured reason for the
-            // audit channel.
+            // audit channel. A certified refusal skips the attempt.
             let removals = dropped.len() as u32;
             let decision = if dropped.len() >= count {
                 DpDecision::CostSkip
             } else if parent.dp.removals() + removals > MAX_DOWNDATES {
                 DpDecision::DowndateCap
+            } else if let Some(bound) = parent.dp.refusal_certificate(dropped, tol, certificate) {
+                DpDecision::ErrTol { measured: bound }
             } else {
                 pooled.clone_from(&parent.dp);
                 let mut refusal = None;
@@ -484,7 +511,13 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
             (pooled, decision)
         });
         sink.dp_decision(decision);
-        self.finish_qualify(tids, dp, esup)
+        if let Some(tail) = dp.fresh_tail() {
+            let mut slot = parent.memo_slot.get();
+            self.evaluator
+                .offer_tail(&parent.tids, &mut slot, ext, &tids, tail);
+            parent.memo_slot.set(slot);
+        }
+        self.finish_qualify(tids, dp, esup, MemoSlot::default())
     }
 
     /// Chernoff–Hoeffding refutation (Lemma 4.1); `true` means "survives".
@@ -506,7 +539,13 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
 
     /// Shared tail of qualification: read the frequent probability off the
     /// DP row and apply the exact `Pr_F ≤ pfct` pruning.
-    fn finish_qualify(&mut self, tids: TidBitmap, dp: TailDp, esup: f64) -> Option<NodeCtx> {
+    fn finish_qualify(
+        &mut self,
+        tids: TidBitmap,
+        dp: TailDp,
+        esup: f64,
+        memo_slot: MemoSlot,
+    ) -> Option<NodeCtx> {
         let cfg = self.evaluator.cfg;
         let pr_f = dp.tail();
         let mut sink = self.evaluator.observe();
@@ -521,6 +560,7 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
             dp,
             esup,
             pr_f,
+            memo_slot: Cell::new(memo_slot),
         })
     }
 
@@ -594,6 +634,7 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
                     dp,
                     esup: ctx.esup,
                     pr_f: ctx.pr_f,
+                    memo_slot: Cell::new(ctx.memo_slot.get()),
                 };
                 items.push(ext);
                 self.process_node(items, &child_ctx);
@@ -601,7 +642,7 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
                 self.arena.recycle(child_ctx);
                 break;
             }
-            if let Some(child_ctx) = self.qualify_child(ctx, child_tids) {
+            if let Some(child_ctx) = self.qualify_child(ctx, ext, child_tids) {
                 items.push(ext);
                 self.process_node(items, &child_ctx);
                 items.pop();

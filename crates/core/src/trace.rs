@@ -197,11 +197,14 @@ pub enum DpDecision {
     /// The parent row had accumulated the maximum number of downdates.
     DowndateCap,
     /// A removal was refused because the *measured* error bound of the
-    /// downdated row exceeded the configured `dp_error_tol`; `measured`
-    /// is that bound, so a histogram of measured errors shows how far
-    /// past the tolerance refused removals land.
+    /// downdated row exceeded the configured `dp_error_tol`, or the
+    /// miner certified before trying that it would
+    /// ([`prob::TailDp::refusal_certificate`]); `measured` is the bound,
+    /// so a histogram of measured errors shows how far past the tolerance
+    /// refused removals land.
     ErrTol {
-        /// Projected absolute error of the refused downdate's row.
+        /// Projected absolute error of the refused downdate's row, or the
+        /// certificate's lower bound on it.
         measured: f64,
     },
     /// A removal was refused because a divided-out DP row left `[0, 1]`;

@@ -298,6 +298,10 @@ pub struct TailDp {
     k: usize,
     trials: usize,
     removals: u32,
+    /// The absorbing "already ≥ k" state of [`tail_at_least_with`],
+    /// accumulated by the same operations while the row is a pure push
+    /// chain (`removals == 0`); see [`TailDp::fresh_tail`].
+    absorbed: f64,
     /// Staging buffers for the commit-on-success downdate; contents are
     /// meaningless between calls and excluded from `Clone`/`PartialEq`.
     scratch: Vec<f64>,
@@ -316,6 +320,7 @@ impl Clone for TailDp {
             k: self.k,
             trials: self.trials,
             removals: self.removals,
+            absorbed: self.absorbed,
             // Staging state is per-call scratch; clones start cold.
             scratch: Vec::new(),
             scratch_err: Vec::new(),
@@ -330,6 +335,7 @@ impl Clone for TailDp {
         self.k = source.k;
         self.trials = source.trials;
         self.removals = source.removals;
+        self.absorbed = source.absorbed;
     }
 }
 
@@ -358,6 +364,7 @@ impl TailDp {
             k,
             trials: 0,
             removals: 0,
+            absorbed: 0.0,
             scratch: Vec::new(),
             scratch_err: Vec::new(),
             scratch_ln: Vec::new(),
@@ -384,6 +391,7 @@ impl TailDp {
         self.err_tracked = false;
         self.trials = 0;
         self.removals = 0;
+        self.absorbed = 0.0;
         for p in probs {
             self.push(p);
         }
@@ -441,6 +449,11 @@ impl TailDp {
         );
         if self.k > 0 {
             let q = 1.0 - p;
+            if self.removals == 0 && self.trials + 1 >= self.k {
+                // The absorbing transition of `tail_at_least_with`, read
+                // before this trial updates `head[k−1]`.
+                self.absorbed += self.head[self.k - 1] * p;
+            }
             // Occupancy before this trial is min(trials, k-1); one trial
             // can raise it by one.
             let top = (self.trials + 1).min(self.k - 1);
@@ -757,6 +770,80 @@ impl TailDp {
         self.trials -= 1;
         self.removals += 1;
         Ok(())
+    }
+
+    /// What [`tail_at_least_with`] returns for the absorbed trials, in
+    /// the order they were pushed, bit for bit; `None` once a removal has
+    /// touched the row (until [`TailDp::rebuild`]). The two DPs share the
+    /// head recurrence operation for operation, and the row keeps the
+    /// absorbing state alongside it, so a caller that needs both the row
+    /// and the absorbing-state tail builds the row once.
+    pub fn fresh_tail(&self) -> Option<f64> {
+        if self.removals > 0 {
+            return None;
+        }
+        Some(if self.k == 0 {
+            1.0
+        } else {
+            crate::clamp_prob(self.absorbed)
+        })
+    }
+
+    /// A certificate that dividing `dropped` out of the row, in order,
+    /// would be refused: `Some(bound)` when a lower bound on the error
+    /// [`TailDp::try_remove_explained`] would measure at some removal of
+    /// the chain exceeds `tol`, so that removal or an earlier one fails.
+    /// `None` promises nothing. `scratch` holds the bound vector.
+    ///
+    /// The bound starts from the row's per-element error bounds (the
+    /// explicit ones, or the implicit push-chain bound) and propagates only
+    /// the inherited term of the plain pass through each removal,
+    /// `E_j ← (E_j + p·E_{j−1}) / q` for ascending `j`. The plain pass adds
+    /// nonnegative local rounding to exactly this term, and the log-domain
+    /// fallback's inherited sum is the same quantity in closed form, so
+    /// every element bound the removal can measure is at least `E_j`, up
+    /// to the rounding of the two evaluation orders; a relative margin of
+    /// `(8k + 16)·ε` per removal covers that. The sum exits as soon as it
+    /// fires. A degenerate or empty step ends the chain uncertified,
+    /// leaving its refusal to the real downdate.
+    pub fn refusal_certificate(
+        &self,
+        dropped: &[f64],
+        tol: f64,
+        scratch: &mut Vec<f64>,
+    ) -> Option<f64> {
+        if self.k == 0 {
+            return None;
+        }
+        scratch.clear();
+        if self.err_tracked {
+            scratch.extend_from_slice(&self.err);
+        } else {
+            let scale = self.implicit_err_scale();
+            scratch.extend(self.head.iter().map(|h| scale * h.abs()));
+        }
+        let margin_step = (8.0 * self.k as f64 + 16.0) * f64::EPSILON;
+        for (step, &p) in dropped.iter().take(self.trials).enumerate() {
+            let q = 1.0 - p;
+            if q < f64::EPSILON {
+                return None;
+            }
+            let inv_q = 1.0 / q;
+            let slack = 1.0 - (step + 1) as f64 * margin_step;
+            let mut prev = 0.0f64;
+            let mut sum = 0.0f64;
+            for e in scratch.iter_mut() {
+                // The plain pass's inherited term, operation for operation.
+                let inherited = (*e + p * prev) * inv_q;
+                *e = inherited;
+                prev = inherited;
+                sum += inherited;
+                if sum * slack > tol {
+                    return Some(sum * slack);
+                }
+            }
+        }
+        None
     }
 
     /// `Pr{ S ≥ k }` for the currently absorbed trials.
@@ -1079,6 +1166,78 @@ mod tests {
     }
 
     #[test]
+    fn fresh_tail_lasts_until_the_first_removal() {
+        let probs = [0.9, 0.6, 0.7, 0.9];
+        let mut dp = TailDp::from_probs(2, probs);
+        let direct = tail_at_least(&probs, 2);
+        assert_eq!(dp.fresh_tail().map(f64::to_bits), Some(direct.to_bits()));
+        assert_eq!(TailDp::new(0).fresh_tail(), Some(1.0));
+        assert!(dp.try_remove(0.6, 1e-9));
+        assert_eq!(
+            dp.fresh_tail(),
+            None,
+            "a downdated row has no absorbing state"
+        );
+        dp.rebuild(probs);
+        assert_eq!(dp.fresh_tail().map(f64::to_bits), Some(direct.to_bits()));
+        let mut copy = TailDp::new(2);
+        copy.clone_from(&dp);
+        assert_eq!(copy.fresh_tail(), dp.fresh_tail());
+    }
+
+    #[test]
+    fn refusal_certificate_fires_only_on_refused_chains() {
+        let mut scratch = Vec::new();
+        // Zero tolerance: the implicit push-chain bound alone refuses.
+        let wide = TailDp::from_probs(20, vec![0.9; 30]);
+        let bound = wide
+            .refusal_certificate(&[0.9], 0.0, &mut scratch)
+            .expect("any nonzero bound exceeds tol = 0");
+        assert!(bound > 0.0);
+        assert!(!wide.clone().try_remove(0.9, 0.0));
+        // The default tolerance accepts that removal: no certificate.
+        assert_eq!(wide.refusal_certificate(&[0.9], 1e-9, &mut scratch), None);
+        // Exact rows (underflowed heads) certify nothing, even at tol = 0.
+        let exact = TailDp::from_probs(10, std::iter::repeat_n(0.999, 400));
+        assert_eq!(exact.refusal_certificate(&[0.999], 0.0, &mut scratch), None);
+        // Degenerate and empty chains are left to the real downdate.
+        let ones = TailDp::from_probs(2, [1.0, 0.5, 0.5]);
+        assert_eq!(ones.refusal_certificate(&[1.0], 0.0, &mut scratch), None);
+        assert_eq!(
+            TailDp::new(3).refusal_certificate(&[0.5], 0.0, &mut scratch),
+            None
+        );
+        // Gaussian(0.8, 0.1)-like rows of 200 trials at k = 80, twenty
+        // removals: most chains are refused, and the certificate catches
+        // refused chains only.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut unit = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut fired = 0;
+        for _ in 0..20 {
+            let probs: Vec<f64> = (0..200)
+                .map(|_| {
+                    let z = (0..12).map(|_| unit()).sum::<f64>() - 6.0;
+                    (0.8 + 0.1 * z).clamp(0.001, 0.999)
+                })
+                .collect();
+            let row = TailDp::from_probs(80, probs.iter().copied());
+            let dropped = &probs[..20];
+            if let Some(bound) = row.refusal_certificate(dropped, 1e-9, &mut scratch) {
+                fired += 1;
+                assert!(bound > 1e-9);
+                let mut chain = row.clone();
+                assert!(!dropped.iter().all(|&p| chain.try_remove(p, 1e-9)));
+            }
+        }
+        assert!(fired > 0, "the certificate never fired");
+    }
+
+    #[test]
     #[should_panic(expected = "outside")]
     fn rejects_invalid_probability() {
         SupportDistribution::new(&[1.5]);
@@ -1190,6 +1349,63 @@ mod proptests {
             // The parent row is untouched either way.
             prop_assert_eq!(parent.tail().to_bits(),
                 TailDp::from_probs(k, probs.iter().copied()).tail().to_bits());
+        }
+
+        /// A push chain's absorbing state is `tail_at_least_with`'s, bit
+        /// for bit, at every threshold up to one past the trial count.
+        #[test]
+        fn fresh_tail_is_the_capped_dp_bit_for_bit(
+            raw in proptest::collection::vec(0u32..=1002, 1..60),
+        ) {
+            // 1001 and 1002 stand for certain and impossible trials.
+            let probs: Vec<f64> = raw
+                .iter()
+                .map(|&u| match u {
+                    1001 => 1.0,
+                    1002 => 0.0,
+                    _ => f64::from(u) / 1000.0,
+                })
+                .collect();
+            for k in 1..=probs.len() + 1 {
+                let row = TailDp::from_probs(k, probs.iter().copied());
+                prop_assert_eq!(
+                    row.fresh_tail().map(f64::to_bits),
+                    Some(tail_at_least(&probs, k).to_bits()),
+                    "k={}", k
+                );
+            }
+        }
+
+        /// Whenever the certificate fires, the real downdate chain is
+        /// refused at some removal, from a pure push chain and from a row
+        /// an accepted downdate has already touched.
+        #[test]
+        fn refusal_certificate_is_sound(case in dp_case()) {
+            let (probs, k, drop) = case;
+            let mut scratch = Vec::new();
+            let split = drop.len() / 3;
+            let mut touched = TailDp::from_probs(k, probs.iter().copied());
+            let touched_ok = drop[..split]
+                .iter()
+                .all(|&i| touched.try_remove(probs[i], 1e-9));
+            let fresh = TailDp::from_probs(k, probs.iter().copied());
+            let mut rows = vec![(fresh, &drop[..])];
+            if touched_ok {
+                rows.push((touched, &drop[split..]));
+            }
+            for (row, chain) in rows {
+                let dropped: Vec<f64> = chain.iter().map(|&i| probs[i]).collect();
+                for tol in [0.0, 1e-12, 1e-9, 1e-6] {
+                    if let Some(bound) = row.refusal_certificate(&dropped, tol, &mut scratch) {
+                        prop_assert!(bound > tol);
+                        let mut real = row.clone();
+                        let refused = dropped
+                            .iter()
+                            .any(|&p| real.try_remove_explained(p, tol).is_err());
+                        prop_assert!(refused, "certified at {} (tol {}) but accepted", bound, tol);
+                    }
+                }
+            }
         }
 
         #[test]

@@ -333,6 +333,40 @@ impl TidBitmap {
         h
     }
 
+    /// The positions of `other`'s tids among `self`'s: bit `i` of the
+    /// result is set iff the `i`-th smallest tid of `self` is in `other`.
+    /// The result's universe is `self.count()`.
+    ///
+    /// This is a parallel bit extract (PEXT) of `other` under `self`, one
+    /// word at a time: the hardware instruction where the CPU has `bmi2`,
+    /// a software loop over `self`'s set bits elsewhere. Both give the
+    /// same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics on mismatched universes.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use utdb::bitset::TidBitmap;
+    /// let x = TidBitmap::from_tids(100, [3, 10, 64, 99]);
+    /// let e = TidBitmap::from_tids(100, [10, 50, 99]);
+    /// assert_eq!(x.positions_of(&e), TidBitmap::from_tids(4, [1, 3]));
+    /// ```
+    pub fn positions_of(&self, other: &Self) -> Self {
+        assert_eq!(self.universe, other.universe, "universe mismatch");
+        let mut out = Self::new(self.count());
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("bmi2") {
+            // SAFETY: the CPU supports bmi2, checked just above.
+            unsafe { compact_bmi2(&self.words, &other.words, &mut out.words) };
+            return out;
+        }
+        compact_soft(&self.words, &other.words, &mut out.words);
+        out
+    }
+
     fn zip_with(&self, other: &Self, f: impl Fn(u64, u64) -> u64 + Copy) -> Self {
         assert_eq!(self.universe, other.universe, "universe mismatch");
         let mut words = vec![0u64; self.words.len()];
@@ -342,6 +376,65 @@ impl TidBitmap {
             universe: self.universe,
         }
     }
+}
+
+/// Append the low `len` bits of `bits` (higher bits clear) to `out` at
+/// bit offset `at`.
+#[inline(always)]
+fn append_bits(out: &mut [u64], at: usize, bits: u64, len: u32) {
+    let (word, shift) = (at / 64, at % 64);
+    if len == 0 {
+        return;
+    }
+    out[word] |= bits << shift;
+    if shift + len as usize > 64 {
+        out[word + 1] |= bits >> (64 - shift);
+    }
+}
+
+/// Software PEXT: the bits of `src` at the set positions of `mask`,
+/// packed into the low bits in ascending order.
+#[inline(always)]
+fn pext_soft(src: u64, mut mask: u64) -> u64 {
+    let mut packed = 0u64;
+    let mut i = 0u32;
+    while mask != 0 {
+        let low = mask & mask.wrapping_neg();
+        packed |= u64::from(src & low != 0) << i;
+        i += 1;
+        mask ^= low;
+    }
+    packed
+}
+
+/// [`TidBitmap::positions_of`] over raw words, with `pext` extracting
+/// one word.
+#[inline(always)]
+fn compact_with(x: &[u64], other: &[u64], out: &mut [u64], pext: impl Fn(u64, u64) -> u64) {
+    let mut at = 0usize;
+    for (&xw, &ow) in x.iter().zip(other) {
+        let len = xw.count_ones();
+        append_bits(out, at, pext(ow, xw), len);
+        at += len as usize;
+    }
+}
+
+/// [`compact_with`] over [`pext_soft`].
+fn compact_soft(x: &[u64], other: &[u64], out: &mut [u64]) {
+    compact_with(x, other, out, pext_soft);
+}
+
+/// [`compact_with`] over the `bmi2` PEXT instruction.
+///
+/// # Safety
+///
+/// The CPU must support `bmi2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi2")]
+unsafe fn compact_bmi2(x: &[u64], other: &[u64], out: &mut [u64]) {
+    compact_with(x, other, out, |src, mask| {
+        std::arch::x86_64::_pext_u64(src, mask)
+    });
 }
 
 impl fmt::Debug for TidBitmap {
@@ -648,6 +741,50 @@ mod proptests {
             prop_assert_eq!(ba.fingerprint(), rebuilt.fingerprint());
             if a != b {
                 prop_assert!(ba.fingerprint() != bb.fingerprint());
+            }
+        }
+
+        /// `positions_of` against a per-position model, at universes
+        /// ≡ 0, 1 and 63 (mod 64), on the software and (where the CPU
+        /// has it) the `bmi2` path.
+        #[test]
+        fn positions_of_matches_per_position_model(
+            words in 0usize..5,
+            residue in 0usize..3,
+            density_x in 0u32..=8,
+            density_e in 0u32..=8,
+            seed in any::<u64>(),
+        ) {
+            let n = 64 * words + [0, 1, 63][residue];
+            let mut state = seed | 1;
+            let mut draw = |density: u32| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % 8) < u64::from(density)
+            };
+            let x: Vec<usize> = (0..n).filter(|_| draw(density_x)).collect();
+            let e: Vec<usize> = (0..n).filter(|_| draw(density_e)).collect();
+            let bx = TidBitmap::from_tids(n, x.iter().copied());
+            let be = TidBitmap::from_tids(n, e.iter().copied());
+            let model: Vec<usize> = x
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| e.contains(t))
+                .map(|(i, _)| i)
+                .collect();
+            let got = bx.positions_of(&be);
+            prop_assert_eq!(got.universe(), x.len());
+            prop_assert_eq!(got.iter().collect::<Vec<_>>(), model.clone());
+            let mut soft = TidBitmap::new(x.len());
+            compact_soft(bx.words(), be.words(), &mut soft.words);
+            prop_assert_eq!(&soft, &got);
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("bmi2") {
+                let mut hard = TidBitmap::new(x.len());
+                // SAFETY: bmi2 is available, checked just above.
+                unsafe { compact_bmi2(bx.words(), be.words(), &mut hard.words) };
+                prop_assert_eq!(&hard, &got);
             }
         }
 

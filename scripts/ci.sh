@@ -83,6 +83,23 @@ done
 run test -s "$densedir/default.out"
 run diff "$densedir/default.out" "$densedir/nocache.out"
 run diff "$densedir/default.out" "$densedir/threads2.out"
+# The same three runs at 10%, where the miner also accepts downdates,
+# certifies refusals before trying them and hands rebuilt rows' tails to
+# the tail memo: none of it may move a byte either.
+echo "==> dense smoke at 10% (event cache off and two threads vs default)"
+for variant in default nocache threads2; do
+    case "$variant" in
+        default) extra=(--stats) ;;
+        nocache) extra=(--event-cache 0) ;;
+        threads2) extra=(--threads 2) ;;
+    esac
+    cargo run --release -q -p pfcim --bin pfcim -- "$densedir/dense.dat" \
+        --min-sup 10% "${extra[@]}" >"$densedir/${variant}10.out" 2>"$densedir/${variant}10.err"
+done
+run test -s "$densedir/default10.out"
+run diff "$densedir/default10.out" "$densedir/nocache10.out"
+run diff "$densedir/default10.out" "$densedir/threads210.out"
+run grep -Eq '^# dp audit: inc=[1-9]' "$densedir/default10.err"
 
 # Sparse byte-diff smoke: at min_sup 3 the smoke set's families are wide
 # but their support lattices are small, so the default planner evaluates
