@@ -2,19 +2,18 @@
 //!
 //! ```text
 //! repro [EXPERIMENTS...] [--scale tiny|laptop|paper] [--budget SECONDS]
-//!       [--out DIR] [--threads N] [--event-cache N] [--trace FILE.jsonl]
+//!       [--out DIR] [--threads N] [--trace FILE.jsonl]
 //!       [--progress] [--metrics FILE.json]
 //!
 //! EXPERIMENTS: all (default), fig5, fig6, fig7, fig8, fig9, fig10,
 //!              fig11, fig12, table7, table8
 //! ```
 //!
-//! `--threads`, `--event-cache` and `--telemetry` are the shared flags
-//! of [`pfcim_core::args`] and parse identically in `pfcim` and
-//! `repro`; the environment fallbacks (`PFCIM_THREADS`,
-//! `PFCIM_EVENT_CACHE`) are documented there. The experiment drivers
-//! build their configs internally, so the flags are forwarded through
-//! those variables; without an explicit `--threads` (or a pre-set
+//! `--threads` and `--telemetry` are the shared flags of
+//! [`pfcim_core::args`] and parse identically in `pfcim` and `repro`;
+//! the environment fallback `PFCIM_THREADS` is documented there. The
+//! experiment drivers build their configs internally, so `--threads` is
+//! forwarded through that variable; without an explicit `--threads` (or a pre-set
 //! `PFCIM_THREADS`), `repro` pins the sequential miner for run-to-run
 //! reproducibility. `--telemetry ADDR` serves live `/metrics`,
 //! `/healthz` and `/flight` for the whole regeneration, fed by every
@@ -64,7 +63,7 @@ fn parse_args() -> Result<Args, String> {
     let mut common = pfcim_core::CommonArgs::default();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
-        // --threads / --event-cache / --telemetry parse identically
+        // --threads / --telemetry parse identically
         // in pfcim and repro (pfcim_core::args).
         if common.accept(&arg, || argv.next())? {
             continue;

@@ -92,11 +92,7 @@ fn metrics_and_healthz_scrape_cleanly_during_a_live_run() {
     // mining counters.
     let metrics = get_ok(addr, "/metrics");
     lint_prometheus(&metrics).unwrap_or_else(|e| panic!("mid-run /metrics fails lint: {e}"));
-    for required in [
-        "pfcim_nodes_visited",
-        "pfcim_elapsed_s",
-        "pfcim_event_cache_capacity",
-    ] {
+    for required in ["pfcim_nodes_visited", "pfcim_elapsed_s"] {
         assert!(metrics.contains(required), "missing {required}:\n{metrics}");
     }
 

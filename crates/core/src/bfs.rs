@@ -26,8 +26,9 @@ use crate::result::MiningOutcome;
 use crate::trace::{timed, DpDecision, MinerSink, Phase, PruneKind};
 
 /// The level-wise miner proper — the engine behind the
-/// [`crate::miner::Miner`] builder. `cache = None` gives the run a
-/// private event-table cache (see [`Evaluator::new`]).
+/// [`crate::miner::Miner`] builder. `cache` is a snapshot's shared
+/// event-table cache, `None` outside snapshot runs (see
+/// [`Evaluator::new`]).
 pub(crate) fn run_bfs<S: MinerSink + ?Sized>(
     db: &UncertainDatabase,
     config: &MinerConfig,

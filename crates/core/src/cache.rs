@@ -1,11 +1,11 @@
 //! A sharded, fingerprint-keyed cache of bound-input [`EventTable`]s.
 //!
-//! PR 4 memoized bound inputs in a 32-entry MRU owned by one evaluator
-//! and thrown away with the run. This module promotes that structure to
-//! a *shareable* cache: [`SharedEventCache`] is `Send + Sync`, lives in
-//! an `Arc`, and is safe to hand to any number of concurrent miners —
-//! the snapshot-scoped cache behind [`crate::snapshot::Snapshot`] and
-//! the per-query engine of `pfcim serve`.
+//! [`SharedEventCache`] is `Send + Sync`, lives in an `Arc`, and is safe
+//! to hand to any number of concurrent miners: it is the snapshot-scoped
+//! cache behind [`crate::snapshot::Snapshot`] and so behind every query
+//! of `pfcim serve`. Runs that do not come from a snapshot use no table
+//! cache; within one mine a tid-set's table is almost never asked for
+//! twice, and the run's tail memo already shares the tails a table would.
 //!
 //! Sharing is *result-invariant*: a cached table's
 //! [`EventTable::family_excluding`] projection is bitwise-identical to a
@@ -18,8 +18,7 @@
 //! Entries are spread over up to [`MAX_SHARDS`] mutex-protected MRU
 //! vectors by tid-set fingerprint, so concurrent queries against one
 //! snapshot rarely contend on the same lock. Small capacities (at or
-//! below [`SINGLE_SHARD_MAX`]) collapse to one shard, keeping the
-//! per-run cache's eviction behaviour of the previous design. Lookup
+//! below [`SINGLE_SHARD_MAX`]) collapse to one shard. Lookup
 //! verifies **full tid-set equality and `min_sup`** on a fingerprint
 //! match, so a 64-bit collision — or two queries with different support
 //! thresholds — degrades to a miss, never to a wrong table.
@@ -40,8 +39,10 @@ use crate::events::EventTable;
 /// Shard count for capacities above [`SINGLE_SHARD_MAX`].
 pub const MAX_SHARDS: usize = 16;
 
-/// Capacities up to this run single-sharded, preserving the exact MRU
-/// eviction order of the legacy per-run cache at its default size.
+/// Capacities up to this run single-sharded: split [`MAX_SHARDS`] ways,
+/// a shard would hold four tables or fewer, and since entries land in
+/// shards by fingerprint, a shard would start evicting while the cache
+/// as a whole still had room.
 pub const SINGLE_SHARD_MAX: usize = 64;
 
 /// One shard: an MRU-first vector — at per-shard capacities a linear
@@ -87,14 +88,6 @@ impl SharedEventCache {
         } else {
             MAX_SHARDS
         };
-        Self::with_shards(capacity, shards)
-    }
-
-    /// As [`SharedEventCache::new`] but with an explicit shard count —
-    /// the benchmark harness pins `1` to measure what the sharding is
-    /// worth under concurrent queries (clamped to `1..=MAX_SHARDS`).
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, MAX_SHARDS);
         Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: capacity.div_ceil(shards),
@@ -128,11 +121,6 @@ impl SharedEventCache {
         &self.shards[idx]
     }
 
-    /// Number of shards entries are spread over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total entry capacity across all shards.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -148,9 +136,9 @@ impl SharedEventCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Cumulative contended lock acquisitions (see
-    /// [`SharedEventCache::with_shards`]); `0` under purely sequential
-    /// use.
+    /// Cumulative contended lock acquisitions: a `try_lock` probe found
+    /// the shard held, and the caller had to block. `0` under purely
+    /// sequential use.
     pub fn contended(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
     }
@@ -304,19 +292,9 @@ mod tests {
         let cache = SharedEventCache::new(1024);
         assert_eq!(cache.shards.len(), MAX_SHARDS);
         assert_eq!(cache.shard_capacity, 64);
-        let small = SharedEventCache::new(32);
+        let small = SharedEventCache::new(SINGLE_SHARD_MAX);
         assert_eq!(small.shards.len(), 1);
-    }
-
-    #[test]
-    fn explicit_shard_count_is_clamped_and_respected() {
-        let single = SharedEventCache::with_shards(1024, 1);
-        assert_eq!(single.shard_count(), 1);
-        assert_eq!(single.shard_capacity, 1024);
-        let over = SharedEventCache::with_shards(1024, 99);
-        assert_eq!(over.shard_count(), MAX_SHARDS);
-        let zero = SharedEventCache::with_shards(64, 0);
-        assert_eq!(zero.shard_count(), 1);
+        assert_eq!(small.shard_capacity, SINGLE_SHARD_MAX);
     }
 
     #[test]
@@ -338,7 +316,7 @@ mod tests {
         // Sequential use never contends; a thread hammering a
         // single-shard cache while another holds its lock must.
         let db = db();
-        let cache = Arc::new(SharedEventCache::with_shards(1024, 1));
+        let cache = Arc::new(SharedEventCache::new(SINGLE_SHARD_MAX));
         let (fp, table) = table_for(&db, 0, 2);
         let tids = table.tids().clone();
         cache.insert(fp, Arc::clone(&table));

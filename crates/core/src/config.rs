@@ -127,34 +127,12 @@ pub struct MinerConfig {
     ///
     /// This is the *only* DP-refusal knob.
     pub dp_error_tol: f64,
-    /// Capacity of the evaluator's per-run bound-input (event-table)
-    /// cache, keyed by tid-set fingerprint. `0` disables memoization.
-    /// Defaults to the `PFCIM_EVENT_CACHE` environment variable when it
-    /// parses as an integer, else [`DEFAULT_EVENT_CACHE_CAPACITY`];
-    /// override explicitly with
-    /// [`MinerConfig::with_event_cache_capacity`].
-    pub event_cache_capacity: usize,
 }
-
-/// Built-in default of [`MinerConfig::event_cache_capacity`] when the
-/// `PFCIM_EVENT_CACHE` environment variable is absent.
-pub const DEFAULT_EVENT_CACHE_CAPACITY: usize = 32;
 
 /// Default of [`MinerConfig::dp_error_tol`]: the incremental downdate is
 /// accepted when its measured error bound stays within `1e-9` — the same
 /// agreement threshold the downdate-vs-rebuild property test enforces.
 pub const DEFAULT_DP_ERROR_TOL: f64 = 1e-9;
-
-/// Resolve the default event-cache capacity: `PFCIM_EVENT_CACHE` when it
-/// parses as a non-negative integer (`0` disables memoization), else
-/// [`DEFAULT_EVENT_CACHE_CAPACITY`]. Mirrors how `PFCIM_THREADS` feeds
-/// [`MinerConfig::effective_threads`].
-pub fn default_event_cache_capacity() -> usize {
-    std::env::var("PFCIM_EVENT_CACHE")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_EVENT_CACHE_CAPACITY)
-}
 
 impl MinerConfig {
     /// The paper's default parameterization: `ε = δ = 0.1`, all prunings
@@ -173,7 +151,6 @@ impl MinerConfig {
             time_budget: None,
             threads: 0,
             dp_error_tol: DEFAULT_DP_ERROR_TOL,
-            event_cache_capacity: default_event_cache_capacity(),
         }
     }
 
@@ -215,13 +192,6 @@ impl MinerConfig {
     /// exact downdates.
     pub fn with_dp_error_tol(mut self, dp_error_tol: f64) -> Self {
         self.dp_error_tol = dp_error_tol;
-        self
-    }
-
-    /// Set the evaluator's bound-input cache capacity (`0` disables; see
-    /// [`MinerConfig::event_cache_capacity`]).
-    pub fn with_event_cache_capacity(mut self, capacity: usize) -> Self {
-        self.event_cache_capacity = capacity;
         self
     }
 
@@ -324,17 +294,9 @@ impl Variant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Serializes the tests that read or write `PFCIM_EVENT_CACHE` —
-    /// the test harness runs `#[test]`s on threads sharing one process
-    /// environment.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn default_config_matches_paper_defaults() {
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::remove_var("PFCIM_EVENT_CACHE");
         let c = MinerConfig::new(2, 0.8);
         assert_eq!(c.epsilon, 0.1);
         assert_eq!(c.delta, 0.1);
@@ -344,7 +306,6 @@ mod tests {
         assert!(c.pruning.subset);
         assert!(c.pruning.probability_bounds);
         assert_eq!(c.dp_error_tol, DEFAULT_DP_ERROR_TOL);
-        assert_eq!(c.event_cache_capacity, 32);
         c.validate();
     }
 
@@ -382,32 +343,6 @@ mod tests {
     #[test]
     fn min_sup_zero_is_lifted_to_one() {
         assert_eq!(MinerConfig::new(0, 0.5).min_sup, 1);
-    }
-
-    #[test]
-    fn event_cache_capacity_reads_the_environment() {
-        let _env = ENV_LOCK.lock().unwrap();
-        std::env::set_var("PFCIM_EVENT_CACHE", "128");
-        assert_eq!(MinerConfig::new(2, 0.8).event_cache_capacity, 128);
-        // Zero is a valid setting: it disables memoization.
-        std::env::set_var("PFCIM_EVENT_CACHE", "0");
-        assert_eq!(MinerConfig::new(2, 0.8).event_cache_capacity, 0);
-        // Garbage falls back to the built-in default.
-        std::env::set_var("PFCIM_EVENT_CACHE", "lots");
-        assert_eq!(
-            MinerConfig::new(2, 0.8).event_cache_capacity,
-            DEFAULT_EVENT_CACHE_CAPACITY
-        );
-        std::env::remove_var("PFCIM_EVENT_CACHE");
-        assert_eq!(
-            MinerConfig::new(2, 0.8).event_cache_capacity,
-            DEFAULT_EVENT_CACHE_CAPACITY
-        );
-        // The builder always wins over the environment.
-        std::env::set_var("PFCIM_EVENT_CACHE", "7");
-        let c = MinerConfig::new(2, 0.8).with_event_cache_capacity(5);
-        assert_eq!(c.event_cache_capacity, 5);
-        std::env::remove_var("PFCIM_EVENT_CACHE");
     }
 
     #[test]

@@ -11,25 +11,24 @@
 //! with the default [`crate::trace::NullSink`] monomorphize the
 //! forwarding away.
 //!
-//! It also owns the run's bound-input memoization handle: a
-//! [`SharedEventCache`] of [`EventTable`]s keyed by tid-set fingerprint.
-//! Two itemsets with equal supporting tuples need identical non-closure
-//! event inputs (they differ only in which items are excluded), so the
-//! cache turns the repeated `O(k·m)` event construction into an `O(m)`
-//! projection. By default each evaluator owns a private cache (the
-//! legacy per-run MRU); a [`crate::snapshot::Snapshot`] hands every
-//! query the same `Arc`, so concurrent queries reuse each other's
-//! tables.
+//! It also owns the run's [`TailMemo`]: every event family it builds
+//! shares each frequentness tail `Pr{sup(X∪e) ≥ min_sup}` an earlier
+//! build of the run computed for the same `T(X∪e)`, which is where an
+//! event build spends its time. The memo is per evaluator (one per
+//! parallel worker, so lock-free) and dies with the run, since `min_sup`
+//! and the database change between serve queries and stream steps. The
+//! depth-first miner also offers it the tail of every DP row it builds
+//! from scratch ([`TailMemo::offer`]), so the parent's build finds
+//! the child's tail instead of recomputing it.
 //!
-//! Below the table cache sits a private [`TailMemo`]: a table build for a
-//! new tid-set still shares every frequentness tail `Pr{sup(X∪e) ≥
-//! min_sup}` an earlier build of the run computed for the same `T(X∪e)`.
-//! The memo is per evaluator (one per parallel worker, so lock-free) and
-//! dies with the run, since `min_sup` and the database change between
-//! serve queries and stream steps. The depth-first miner also offers it
-//! the tail of every DP row it builds from scratch
-//! ([`Evaluator::offer_tail`]), so the parent's table build finds the
-//! child's tail instead of recomputing it. Capacity `0` turns both off.
+//! A run started from a [`crate::snapshot::Snapshot`] additionally goes
+//! through the snapshot's [`SharedEventCache`] of [`EventTable`]s, keyed
+//! by tid-set fingerprint: two itemsets with equal supporting tuples
+//! need the same events (they differ only in which items are excluded),
+//! so concurrent and successive queries project each other's tables.
+//! Other runs build each family directly: within one mine a tid-set's
+//! table is almost never asked for twice, and the memo already holds
+//! every tail a table would save.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,8 +40,8 @@ use utdb::{Item, TidBitmap, UncertainDatabase};
 
 use crate::cache::SharedEventCache;
 use crate::config::{FcpMethod, MinerConfig};
-use crate::events::{BoundTier, EventTable, MemoSlot, NonClosureEvents, TailMemo, MAX_EXACT_TERMS};
-use crate::fcp::{approx_fcp_adaptive_traced, approx_fcp_chunked_traced, approx_fcp_traced};
+use crate::events::{BoundTier, EventTable, NonClosureEvents, TailMemo, MAX_EXACT_TERMS};
+use crate::fcp::{approx_fcp, approx_fcp_adaptive, approx_fcp_chunked};
 use crate::result::{MiningOutcome, Pfci};
 use crate::stats::RunLedger;
 use crate::trace::{timed, FcpEvalKind, MinerSink, Phase, PruneKind, Tee};
@@ -85,15 +84,16 @@ pub(crate) struct Evaluator<'a, S: MinerSink + ?Sized> {
     /// Resolved worker count for chunked `ApproxFCP`. `1` keeps every
     /// sampled path byte-identical to the legacy shared-RNG code.
     threads: usize,
-    cache: Arc<SharedEventCache>,
-    tail_memo: TailMemo,
+    /// The snapshot's shared table cache; `None` outside snapshot runs.
+    cache: Option<Arc<SharedEventCache>>,
+    /// The run's frequentness tails; the depth-first miner
+    /// [offers](TailMemo::offer) it the tail of every fresh DP row.
+    pub tail_memo: TailMemo,
 }
 
 impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
-    /// `cache = None` gives the evaluator a private cache sized by
-    /// `cfg.event_cache_capacity` (the legacy per-run behaviour, and —
-    /// one instance per worker — the legacy per-worker behaviour of the
-    /// parallel miner). `Some` shares a snapshot-scoped cache instead.
+    /// `cache` is a snapshot's shared event-table cache, `None` for a
+    /// run that builds every family through its tail memo alone.
     pub fn new(
         db: &'a UncertainDatabase,
         cfg: &'a MinerConfig,
@@ -108,8 +108,7 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
             sink,
             carve_ceiling: 1.0,
             threads: cfg.effective_threads(),
-            cache: cache
-                .unwrap_or_else(|| Arc::new(SharedEventCache::new(cfg.event_cache_capacity))),
+            cache,
             tail_memo: TailMemo::new(db, cfg.min_sup),
         }
     }
@@ -130,25 +129,28 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
     }
 
     /// Build the non-closure event family of `items` over every other item
-    /// in the database, through the event-table cache when enabled.
+    /// in the database: directly through the tail memo, or through the
+    /// snapshot's table cache.
     ///
     /// Cached projection and direct construction produce bitwise-identical
-    /// families (the events module tests prove it), so toggling the cache
-    /// never changes mined probabilities.
+    /// families (the events module tests prove it), so the two paths
+    /// never disagree on a mined probability.
     pub fn events_for(&mut self, items: &[Item], tids: &TidBitmap) -> NonClosureEvents {
         let db = self.db;
         let min_sup = self.cfg.min_sup;
-        let num_items = db.num_items() as u32;
-        let cache = &self.cache;
+        let cache = self.cache.as_deref();
         let tail_memo = &mut self.tail_memo;
         let mut sink = Tee(&mut self.ledger, &mut *self.sink);
         let (events, hit) = timed(Phase::EventBuild, &mut sink, || {
-            if cache.capacity() == 0 {
-                let ext = (0..num_items)
+            let Some(cache) = cache else {
+                let ext = (0..db.num_items() as u32)
                     .map(Item)
                     .filter(|i| items.binary_search(i).is_err());
-                return (NonClosureEvents::build(db, tids, ext, min_sup), None);
-            }
+                return (
+                    NonClosureEvents::build_memoized(db, tids, ext, tail_memo),
+                    None,
+                );
+            };
             let fingerprint = tids.fingerprint();
             if let Some(table) = cache.get(fingerprint, tids, min_sup) {
                 return (table.family_excluding(items), Some(true));
@@ -163,25 +165,6 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
             None => {}
         }
         events
-    }
-
-    /// Hand the run's tail memo `tail = Pr{sup(X∪e) ≥ min_sup}` over
-    /// `xe_tids = x_tids ∧ T(item)`, computed by pushing the ascending-tid
-    /// probabilities of `xe_tids` (a fresh DP row's
-    /// [`prob::TailDp::fresh_tail`]). `x_slot` is where `x_tids` sits in
-    /// the memo, registered on first use. Nothing is stored when the
-    /// event cache is off, since the builds then do not read the memo.
-    pub fn offer_tail(
-        &mut self,
-        x_tids: &TidBitmap,
-        x_slot: &mut MemoSlot,
-        item: Item,
-        xe_tids: &TidBitmap,
-        tail: f64,
-    ) {
-        if self.cache.capacity() != 0 {
-            self.tail_memo.offer(x_tids, x_slot, item, xe_tids, tail);
-        }
     }
 
     /// Full checking phase for an itemset that survived all prunings:
@@ -269,22 +252,25 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
         }
     }
 
-    /// `ApproxFCP`: the stopping rule when `adaptive` (inherently
-    /// sequential — each draw decides whether to continue — so it never
-    /// chunks), otherwise the fixed budget, chunked over the run's
-    /// threads when it has more than one.
+    /// `ApproxFCP` as one [`Phase::FcpSample`] with one
+    /// [`FcpEvalKind::Sampled`] event carrying its draws: the stopping
+    /// rule when `adaptive` (inherently sequential — each draw decides
+    /// whether to continue — so it never chunks), otherwise the fixed
+    /// budget, chunked over the run's threads when it has more than one.
     fn sample_fcp(&mut self, events: &NonClosureEvents, pr_f: f64, adaptive: bool) -> f64 {
         let (epsilon, delta, threads) = (self.cfg.epsilon, self.cfg.delta, self.threads);
         let rng = &mut self.rng;
-        let sink = &mut Tee(&mut self.ledger, &mut *self.sink);
-        let r = if adaptive {
-            approx_fcp_adaptive_traced(events, pr_f, epsilon, delta, rng, sink)
-        } else if threads > 1 {
-            let call_seed = rng.next_u64();
-            approx_fcp_chunked_traced(events, pr_f, epsilon, delta, threads, call_seed, sink)
-        } else {
-            approx_fcp_traced(events, pr_f, epsilon, delta, rng, sink)
-        };
+        let mut sink = Tee(&mut self.ledger, &mut *self.sink);
+        let r = timed(Phase::FcpSample, &mut sink, || {
+            match (adaptive, threads > 1) {
+                (true, _) => approx_fcp_adaptive(events, pr_f, epsilon, delta, rng),
+                (false, true) => {
+                    approx_fcp_chunked(events, pr_f, epsilon, delta, threads, rng.next_u64())
+                }
+                (false, false) => approx_fcp(events, pr_f, epsilon, delta, rng),
+            }
+        });
+        sink.fcp_evaluated(FcpEvalKind::Sampled, r.samples as u64);
         r.fcp
     }
 
@@ -305,18 +291,26 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
 mod tests {
     use super::*;
     use crate::events::tests::{full_lattice, synthetic_family, wide_sparse_family};
-    use crate::fcp::{approx_fcp, approx_fcp_chunked};
-    use crate::trace::NullSink;
+    use crate::stats::RunLedger;
+    use crate::trace::{NullSink, RecordingSink, TraceEvent};
 
     const PR_F: f64 = 0.95;
 
-    /// The planner's FCP for `events` under `cfg`, and the run's counters.
-    fn plan(cfg: &MinerConfig, events: &NonClosureEvents) -> (f64, crate::stats::MinerStats) {
+    /// The planner's FCP for `events` under `cfg`, and the run's ledger.
+    fn plan_into<S: MinerSink>(
+        cfg: &MinerConfig,
+        events: &NonClosureEvents,
+        sink: &mut S,
+    ) -> (f64, RunLedger) {
         let db = UncertainDatabase::parse_symbolic(&[("a", 0.5)]);
-        let mut sink = NullSink;
-        let mut evaluator = Evaluator::new(&db, cfg, &mut sink, None);
+        let mut evaluator = Evaluator::new(&db, cfg, sink, None);
         let fcp = evaluator.compute_fcp(events, PR_F);
-        (fcp, evaluator.ledger.stats)
+        (fcp, evaluator.ledger)
+    }
+
+    fn plan(cfg: &MinerConfig, events: &NonClosureEvents) -> (f64, crate::stats::MinerStats) {
+        let (fcp, ledger) = plan_into(cfg, events, &mut NullSink);
+        (fcp, ledger.stats)
     }
 
     #[test]
@@ -329,7 +323,9 @@ mod tests {
                 .with_seed(11)
                 .with_threads(threads)
                 .with_fcp_method(FcpMethod::Auto { exact_cap: 8 });
-            let (fcp, stats) = plan(&cfg, &events);
+            let mut recorded = RecordingSink::default();
+            let (fcp, ledger) = plan_into(&cfg, &events, &mut recorded);
+            let stats = ledger.stats;
             let mut rng = SmallRng::seed_from_u64(11);
             let expected = if threads == 1 {
                 approx_fcp(&events, PR_F, 0.1, 0.1, &mut rng)
@@ -341,6 +337,24 @@ mod tests {
                 (stats.fcp_exact, stats.fcp_sampled, stats.samples_drawn),
                 (0, 1, expected.samples as u64)
             );
+            // One sampling phase and one sampled evaluation per family.
+            assert_eq!(
+                ledger.timers.count(Phase::FcpSample),
+                1,
+                "threads={threads}"
+            );
+            let sampled: Vec<u64> = recorded
+                .events
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::FcpEval {
+                        method: FcpEvalKind::Sampled,
+                        samples,
+                    } => Some(*samples),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(sampled, [expected.samples as u64], "threads={threads}");
         }
     }
 

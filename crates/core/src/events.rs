@@ -82,8 +82,10 @@ pub struct NonClosureEvents {
     samplers: Vec<OnceLock<EventSampler>>,
 }
 
-#[derive(Default)]
 struct JointScratch {
+    /// Every position of the current family's `T(X)`: an intersection's
+    /// absent positions are its difference with this.
+    all: TidBitmap,
     /// Existential probabilities inside the current intersection.
     probs: Vec<f64>,
     dp: Vec<f64>,
@@ -108,7 +110,13 @@ thread_local! {
     /// Per-thread scratch of [`NonClosureEvents::joint`] and
     /// [`NonClosureEvents::lattice_union`], kept out of the family so the
     /// family stays `Sync`.
-    static JOINT_SCRATCH: RefCell<JointScratch> = RefCell::new(JointScratch::default());
+    static JOINT_SCRATCH: RefCell<JointScratch> = RefCell::new(JointScratch {
+        all: TidBitmap::new(0),
+        probs: Vec::new(),
+        dp: Vec::new(),
+        levels: Vec::new(),
+        frames: Vec::new(),
+    });
 }
 
 /// Most non-zero inclusion–exclusion terms an exact evaluation
@@ -259,8 +267,11 @@ impl TailMemo {
     }
 
     /// Store `tail`, the frequentness tail over `xe_tids = x_tids ∧
-    /// T(item)` in ascending tid order, unless the key's fingerprint is
+    /// T(item)` in ascending tid order (a fresh DP row's
+    /// [`prob::TailDp::fresh_tail`]), unless the key's fingerprint is
     /// taken: by the same key, or by a collision, which is not stored.
+    /// `x_slot` is where `x_tids` sits in the memo, registered on first
+    /// use.
     pub(crate) fn offer(
         &mut self,
         x_tids: &TidBitmap,
@@ -366,7 +377,18 @@ impl NonClosureEvents {
         extension_items: impl IntoIterator<Item = Item>,
         min_sup: usize,
     ) -> Self {
-        let mut memo = TailMemo::new(db, min_sup);
+        Self::build_memoized(db, x_tids, extension_items, &mut TailMemo::new(db, min_sup))
+    }
+
+    /// [`NonClosureEvents::build`] at the memo's `min_sup`, taking each
+    /// tail from the run's [`TailMemo`] when an earlier build, or a fresh
+    /// DP row the miner offered, already computed it.
+    pub(crate) fn build_memoized(
+        db: &UncertainDatabase,
+        x_tids: &TidBitmap,
+        extension_items: impl IntoIterator<Item = Item>,
+        memo: &mut TailMemo,
+    ) -> Self {
         let min_sup = memo.min_sup;
         let probs: Vec<f64> = x_tids.iter().map(|tid| db.probability(tid)).collect();
         let mut scratch = BuildScratch::new(min_sup, probs.len());
@@ -374,7 +396,7 @@ impl NonClosureEvents {
         let mut considered = 0usize;
         for item in extension_items {
             considered += 1;
-            if let Some(event) = event_for_item(db, x_tids, &probs, item, &mut scratch, &mut memo) {
+            if let Some(event) = event_for_item(db, x_tids, &probs, item, &mut scratch, memo) {
                 events.push(event);
             }
         }
@@ -445,14 +467,18 @@ impl NonClosureEvents {
             [i] => self.events[*i].prob,
             [first, rest @ ..] => JOINT_SCRATCH.with_borrow_mut(|scratch| {
                 let JointScratch {
-                    probs, dp, levels, ..
+                    all,
+                    probs,
+                    dp,
+                    levels,
+                    ..
                 } = scratch;
                 let mask = level(levels, 0);
                 mask.clone_from(&self.events[*first].mask);
                 for &i in rest {
                     mask.and_assign(&self.events[i].mask);
                 }
-                self.intersection_term(mask, probs, dp).unwrap_or(0.0)
+                self.intersection_term(mask, all, probs, dp).unwrap_or(0.0)
             }),
         }
     }
@@ -463,22 +489,32 @@ impl NonClosureEvents {
     /// factor is zero (a superset's factor multiplies, in the same
     /// position order, a superset of these factors, each at most 1, so
     /// rounding keeps it at zero).
+    ///
+    /// The present probabilities come from the mask's set bits and the
+    /// absence factor from its difference with `all`, the full position
+    /// set, both in ascending position order: the multiplications of a
+    /// per-position scan, in the same order.
     fn intersection_term(
         &self,
         mask: &TidBitmap,
+        all: &mut TidBitmap,
         probs: &mut Vec<f64>,
         dp: &mut Vec<f64>,
     ) -> Option<f64> {
-        probs.clear();
-        let mut absent_factor = 1.0f64;
-        for (pos, &p) in self.probs.iter().enumerate() {
-            if mask.contains(pos) {
-                probs.push(p);
-            } else {
-                absent_factor *= 1.0 - p;
-            }
+        let k = self.probs.len();
+        if all.universe() != k {
+            *all = TidBitmap::full(k);
         }
-        if probs.len() < self.min_sup || absent_factor == 0.0 {
+        probs.clear();
+        probs.extend(mask.iter().map(|pos| self.probs[pos]));
+        if probs.len() < self.min_sup {
+            return None;
+        }
+        let mut absent_factor = 1.0f64;
+        for pos in all.diff_iter(mask) {
+            absent_factor *= 1.0 - self.probs[pos];
+        }
+        if absent_factor == 0.0 {
             return None;
         }
         if dp.len() < self.min_sup + 1 {
@@ -519,6 +555,7 @@ impl NonClosureEvents {
         let words = self.probs.len().div_ceil(64) as u64;
         JOINT_SCRATCH.with_borrow_mut(|scratch| {
             let JointScratch {
+                all,
                 probs,
                 dp,
                 levels,
@@ -561,7 +598,7 @@ impl NonClosureEvents {
                     if n < self.min_sup {
                         continue;
                     }
-                    let Some(term) = self.intersection_term(child, probs, dp) else {
+                    let Some(term) = self.intersection_term(child, all, probs, dp) else {
                         continue;
                     };
                     if depth % 2 == 0 {
@@ -807,9 +844,9 @@ impl UnionEventSystem for NonClosureEvents {
 ///
 /// The per-event computation depends only on `(T, e, min_sup)` — never on
 /// `X` itself — so two itemsets with identical supporting tuples (exactly
-/// the situation subset pruning exploits) share all of it. The evaluator
-/// keys a small LRU of these tables by tid-set fingerprint;
-/// [`EventTable::family_excluding`] then projects the table onto a
+/// the situation subset pruning exploits) share all of it. A snapshot's
+/// [`crate::cache::SharedEventCache`] keys these tables by tid-set
+/// fingerprint; [`EventTable::family_excluding`] then projects the table onto a
 /// concrete `X` by dropping `X`'s own items, reproducing
 /// [`NonClosureEvents::build`] bit-for-bit.
 pub struct EventTable {
@@ -1272,13 +1309,13 @@ pub(crate) mod tests {
     ) -> NonClosureEvents {
         let k = probs.len();
         let shell = NonClosureEvents::from_parts(probs.clone(), min_sup, Vec::new(), 0);
-        let (mut scratch_probs, mut dp) = (Vec::new(), Vec::new());
+        let (mut all, mut scratch_probs, mut dp) = (TidBitmap::new(0), Vec::new(), Vec::new());
         let events = masks
             .iter()
             .enumerate()
             .filter_map(|(id, positions)| {
                 let mask = TidBitmap::from_tids(k, positions.iter().copied());
-                let prob = shell.intersection_term(&mask, &mut scratch_probs, &mut dp)?;
+                let prob = shell.intersection_term(&mask, &mut all, &mut scratch_probs, &mut dp)?;
                 (prob > 0.0).then_some(NcEvent {
                     item: Item(id as u32),
                     mask,

@@ -16,7 +16,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::events::NonClosureEvents;
 use crate::par;
-use crate::trace::{timed, FcpEvalKind, MinerSink, Phase};
 
 /// Result of one `ApproxFCP` run.
 #[derive(Debug, Clone, Copy)]
@@ -146,64 +145,9 @@ pub fn approx_fcp_chunked(
     }
 }
 
-/// [`approx_fcp_chunked`] as an instrumented phase; see
-/// [`approx_fcp_traced`].
-pub fn approx_fcp_chunked_traced<S: MinerSink + ?Sized>(
-    events: &NonClosureEvents,
-    pr_f: f64,
-    epsilon: f64,
-    delta: f64,
-    threads: usize,
-    call_seed: u64,
-    sink: &mut S,
-) -> ApproxFcpResult {
-    let r = timed(Phase::FcpSample, &mut *sink, || {
-        approx_fcp_chunked(events, pr_f, epsilon, delta, threads, call_seed)
-    });
-    sink.fcp_evaluated(FcpEvalKind::Sampled, r.samples as u64);
-    r
-}
-
-/// [`approx_fcp`] as an instrumented phase: the sink receives the
-/// [`Phase::FcpSample`] bracket around the sampling pass plus one
-/// [`FcpEvalKind::Sampled`] event carrying the samples drawn.
-pub fn approx_fcp_traced<R: Rng, S: MinerSink + ?Sized>(
-    events: &NonClosureEvents,
-    pr_f: f64,
-    epsilon: f64,
-    delta: f64,
-    rng: &mut R,
-    sink: &mut S,
-) -> ApproxFcpResult {
-    let r = timed(Phase::FcpSample, &mut *sink, || {
-        approx_fcp(events, pr_f, epsilon, delta, rng)
-    });
-    sink.fcp_evaluated(FcpEvalKind::Sampled, r.samples as u64);
-    r
-}
-
-/// [`approx_fcp_adaptive`] as an instrumented phase; see
-/// [`approx_fcp_traced`].
-pub fn approx_fcp_adaptive_traced<R: Rng, S: MinerSink + ?Sized>(
-    events: &NonClosureEvents,
-    pr_f: f64,
-    epsilon: f64,
-    delta: f64,
-    rng: &mut R,
-    sink: &mut S,
-) -> ApproxFcpResult {
-    let r = timed(Phase::FcpSample, &mut *sink, || {
-        approx_fcp_adaptive(events, pr_f, epsilon, delta, rng)
-    });
-    sink.fcp_evaluated(FcpEvalKind::Sampled, r.samples as u64);
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::RunLedger;
-    use crate::trace::{RecordingSink, Tee};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use utdb::{Item, UncertainDatabase};
@@ -283,33 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_wrapper_matches_untraced_and_reports() {
-        let db = table2();
-        let (events, pr_f) = family(&db, "a b c", 2);
-        let plain = approx_fcp(&events, pr_f, 0.05, 0.05, &mut SmallRng::seed_from_u64(7));
-        let mut sink = Tee(RunLedger::default(), RecordingSink::default());
-        let traced = approx_fcp_traced(
-            &events,
-            pr_f,
-            0.05,
-            0.05,
-            &mut SmallRng::seed_from_u64(7),
-            &mut sink,
-        );
-        assert_eq!(plain.fcp, traced.fcp);
-        assert_eq!(plain.samples, traced.samples);
-        assert_eq!(sink.0.timers.count(Phase::FcpSample), 1);
-        assert_eq!(sink.0.stats.samples_drawn, traced.samples as u64);
-        assert!(sink.1.events.iter().any(|e| matches!(
-            e,
-            crate::trace::TraceEvent::FcpEval {
-                method: FcpEvalKind::Sampled,
-                ..
-            }
-        )));
-    }
-
-    #[test]
     fn chunked_estimate_is_reproducible_per_seed_and_thread_count() {
         let db = table2();
         let (events, pr_f) = family(&db, "a b c", 2);
@@ -361,25 +278,6 @@ mod tests {
         let r = approx_fcp_chunked(&events, pr_f, 0.1, 0.1, 4, 7);
         assert_eq!(r.fcp, 0.81);
         assert_eq!(r.samples, 0);
-    }
-
-    #[test]
-    fn chunked_traced_matches_untraced_and_reports() {
-        let db = table2();
-        let (events, pr_f) = family(&db, "a b c", 2);
-        let plain = approx_fcp_chunked(&events, pr_f, 0.1, 0.1, 3, 77);
-        let mut sink = Tee(RunLedger::default(), RecordingSink::default());
-        let traced = approx_fcp_chunked_traced(&events, pr_f, 0.1, 0.1, 3, 77, &mut sink);
-        assert_eq!(plain.fcp.to_bits(), traced.fcp.to_bits());
-        assert_eq!(plain.samples, traced.samples);
-        assert_eq!(sink.0.timers.count(Phase::FcpSample), 1);
-        assert!(sink.1.events.iter().any(|e| matches!(
-            e,
-            crate::trace::TraceEvent::FcpEval {
-                method: FcpEvalKind::Sampled,
-                ..
-            }
-        )));
     }
 
     #[test]

@@ -65,6 +65,7 @@ pub mod events;
 pub mod exact;
 pub mod fcp;
 pub mod hardness;
+mod http;
 pub mod metrics;
 pub mod miner;
 pub mod mpfci;
@@ -82,16 +83,11 @@ pub mod trace;
 
 pub use args::CommonArgs;
 pub use cache::SharedEventCache;
-pub use config::{
-    default_event_cache_capacity, FcpMethod, MinerConfig, PruningConfig, SearchStrategy, Variant,
-    DEFAULT_EVENT_CACHE_CAPACITY,
-};
+pub use config::{FcpMethod, MinerConfig, PruningConfig, SearchStrategy, Variant};
 pub use events::{BoundTier, EventTable, NonClosureEvents};
 pub use exact::{exact_fcp_by_worlds, exact_fcp_inclusion_exclusion, exact_pfci_set};
-pub use fcp::{
-    approx_fcp, approx_fcp_adaptive, approx_fcp_adaptive_traced, approx_fcp_chunked,
-    approx_fcp_chunked_traced, approx_fcp_traced,
-};
+pub use fcp::{approx_fcp, approx_fcp_adaptive, approx_fcp_chunked};
+pub use http::http_get;
 pub use metrics::{lint_prometheus, Histogram, HistogramSink, HistogramSummary, MetricsRegistry};
 pub use miner::{Algorithm, Miner, SinkedMiner};
 pub use par::{
@@ -105,7 +101,7 @@ pub use snapshot::{Snapshot, DEFAULT_SNAPSHOT_CACHE_CAPACITY};
 pub use stats::{DpAudit, KernelStats, MinerStats, PhaseTimers, RunLedger, TimedStats};
 pub use stream::{StreamConfig, StreamMiner, StreamStats, StreamStep};
 pub use telemetry::{
-    http_get, FlightRecorder, Telemetry, TelemetryConfig, TelemetryEvent, TelemetryEventKind,
+    FlightRecorder, Telemetry, TelemetryConfig, TelemetryEvent, TelemetryEventKind,
     TelemetrySample, TelemetrySink, TelemetryState, WordRing,
 };
 pub use trace::{

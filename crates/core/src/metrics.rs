@@ -628,7 +628,6 @@ pub struct HistogramSink {
     pool_span_s: [Histogram; 3],
     pool_workers: [crate::par::WorkerGauges; crate::par::MAX_TRACKED_WORKERS],
     pool_workers_seen: usize,
-    event_cache_capacity: u64,
     elapsed: Duration,
     runs: u64,
 }
@@ -713,9 +712,8 @@ impl HistogramSink {
             reg.add(&format!("audit_{name}"), v);
         }
         reg.set_gauge("elapsed_s", self.elapsed.as_secs_f64());
-        // Cache health: capacity is configuration (gauge); the hit rate
-        // only exists once the bound cache saw at least one lookup.
-        reg.set_gauge("event_cache_capacity", self.event_cache_capacity as f64);
+        // The snapshot cache's hit rate only exists once it saw at least
+        // one lookup.
         let lookups = kernel.bound_cache_hits + kernel.bound_cache_misses;
         if lookups > 0 {
             reg.set_gauge(
@@ -791,7 +789,6 @@ impl HistogramSink {
             mine.idles += theirs.idles;
         }
         self.pool_workers_seen = self.pool_workers_seen.max(other.pool_workers_seen);
-        self.event_cache_capacity = self.event_cache_capacity.max(other.event_cache_capacity);
         self.elapsed += other.elapsed;
         self.runs += other.runs;
     }
@@ -808,10 +805,9 @@ impl ShardableSink for HistogramSink {
 }
 
 impl MinerSink for HistogramSink {
-    fn run_started(&mut self, _algo: &str, config: &MinerConfig) {
+    fn run_started(&mut self, _algo: &str, _config: &MinerConfig) {
         // Gaps across run boundaries are not node latencies.
         self.last_node = None;
-        self.event_cache_capacity = config.event_cache_capacity as u64;
     }
     fn pool_span(&mut self, span: &crate::par::PoolSpan) {
         let slot = Self::span_slot(span.kind);
@@ -1055,12 +1051,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_gauges_surface_capacity_and_hit_rate() {
+    fn cache_hit_rate_appears_with_the_first_lookup() {
         let mut sink = HistogramSink::new();
         sink.run_started("mpfci", &MinerConfig::new(2, 0.8));
-        // No lookups yet: capacity is exported, the rate is not.
         let reg = sink.snapshot();
-        assert_eq!(reg.gauge("event_cache_capacity"), Some(32.0));
         assert!(reg.gauge("bound_cache_hit_rate").is_none());
         sink.ledger.kernel.bound_cache_hits = 3;
         sink.ledger.kernel.bound_cache_misses = 1;

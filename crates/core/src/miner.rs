@@ -37,9 +37,9 @@
 //! assert_eq!(ledger.stats, outcome.stats);
 //! ```
 //!
-//! `Miner::new(&db)` gives each run a private, run-scoped bound-input
-//! cache; [`crate::snapshot::Snapshot::miner`] hands out the *same*
-//! builder wired to a snapshot-shared cache instead — batch CLI,
+//! `Miner::new(&db)` builds each event family through the run's own tail
+//! memo; [`crate::snapshot::Snapshot::miner`] hands out the *same*
+//! builder wired to a snapshot-shared event-table cache — batch CLI,
 //! bench harness and the mining service all drive this one code path.
 
 use std::sync::Arc;
@@ -80,8 +80,7 @@ pub struct Miner<'a> {
 impl<'a> Miner<'a> {
     /// Start building a run over `db` with the paper's default
     /// configuration (`min_sup = 1`, `pfct = 0.5`, `ε = δ = 0.1`, all
-    /// prunings, depth-first search) and a private run-scoped
-    /// bound-input cache.
+    /// prunings, depth-first search) and no event-table cache.
     pub fn new(db: &'a UncertainDatabase) -> Self {
         Self {
             db,
@@ -91,12 +90,11 @@ impl<'a> Miner<'a> {
         }
     }
 
-    /// Share a [`SharedEventCache`] across runs instead of the private
-    /// run-scoped one — how [`crate::snapshot::Snapshot::miner`] lets
-    /// concurrent and successive queries reuse each other's event
-    /// tables. The results are bit-identical either way (cached
-    /// projection equals direct construction); only the hit/miss
-    /// counters change.
+    /// Share a [`SharedEventCache`] of event tables across runs — how
+    /// [`crate::snapshot::Snapshot::miner`] lets concurrent and
+    /// successive queries reuse each other's tables. The results are
+    /// bit-identical either way (cached projection equals direct
+    /// construction); only the hit/miss counters change.
     pub fn with_shared_cache(mut self, cache: Arc<SharedEventCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -175,13 +173,6 @@ impl<'a> Miner<'a> {
     /// [`MinerConfig::dp_error_tol`]). `0.0` accepts only exact downdates.
     pub fn dp_error_tol(mut self, dp_error_tol: f64) -> Self {
         self.config.dp_error_tol = dp_error_tol;
-        self
-    }
-
-    /// Capacity of the evaluator's bound-input cache (`0` disables; see
-    /// [`MinerConfig::event_cache_capacity`]).
-    pub fn event_cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.event_cache_capacity = capacity;
         self
     }
 
@@ -336,7 +327,6 @@ mod tests {
             .time_budget(Duration::from_secs(9))
             .fcp_method(FcpMethod::ExactOnly)
             .dp_error_tol(1e-7)
-            .event_cache_capacity(7)
             .to_config();
         assert_eq!(cfg.min_sup, 3);
         assert_eq!(cfg.pfct, 0.7);
@@ -346,7 +336,6 @@ mod tests {
         assert_eq!(cfg.time_budget, Some(Duration::from_secs(9)));
         assert_eq!(cfg.fcp_method, FcpMethod::ExactOnly);
         assert_eq!(cfg.dp_error_tol, 1e-7);
-        assert_eq!(cfg.event_cache_capacity, 7);
     }
 
     #[test]

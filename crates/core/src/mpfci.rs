@@ -258,10 +258,9 @@ fn mine_dfs_parallel<S: ShardableSink + ?Sized>(
             let mut cfg = worker_cfg.clone();
             cfg.seed = par::mix_seed(worker_cfg.seed, u64::from(id));
             let mut miner = DfsMiner {
-                // Without a shared cache each root gets a private one
-                // (the legacy per-worker behaviour, keeping kernel
-                // counters deterministic across runs); with one, all
-                // roots — and all concurrent queries — share tables.
+                // A snapshot's table cache is shared by all roots (and
+                // all concurrent queries); each root's tail memo is its
+                // own.
                 evaluator: Evaluator::new(db, &cfg, &mut shard, cache.clone()),
                 dropped: Vec::new(),
                 certificate: Vec::new(),
@@ -432,7 +431,8 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
         let mut slot = MemoSlot::default();
         if let Some(tail) = dp.fresh_tail() {
             self.evaluator
-                .offer_tail(&tids, &mut slot, item, &tids, tail);
+                .tail_memo
+                .offer(&tids, &mut slot, item, &tids, tail);
         }
         self.finish_qualify(tids, dp, esup, slot)
     }
@@ -514,7 +514,8 @@ impl<S: MinerSink + ?Sized> DfsMiner<'_, S> {
         if let Some(tail) = dp.fresh_tail() {
             let mut slot = parent.memo_slot.get();
             self.evaluator
-                .offer_tail(&parent.tids, &mut slot, ext, &tids, tail);
+                .tail_memo
+                .offer(&parent.tids, &mut slot, ext, &tids, tail);
             parent.memo_slot.set(slot);
         }
         self.finish_qualify(tids, dp, esup, MemoSlot::default())
@@ -794,42 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn event_cache_toggle_is_bit_identical() {
-        let db = table4();
-        let base = MinerConfig::new(2, 0.8);
-        let cached = dfs(&db, &base);
-        let uncached = dfs(&db, &base.clone().with_event_cache_capacity(0));
-        assert!(cached.kernel.bound_cache_misses > 0);
-        assert_eq!(uncached.kernel.bound_cache_hits, 0);
-        assert_eq!(uncached.kernel.bound_cache_misses, 0);
-        assert_eq!(cached.results, uncached.results);
-        assert_eq!(cached.stats, uncached.stats);
-
-        // A dense base, where the run's tail memo serves most tails.
-        let db = crate::events::tests::dense_db();
-        for threads in [1, 2] {
-            let base = MinerConfig::new(48, 0.8)
-                .with_fcp_method(crate::config::FcpMethod::ExactOnly)
-                .with_threads(threads);
-            let cached = dfs(&db, &base);
-            let uncached = dfs(&db, &base.clone().with_event_cache_capacity(0));
-            assert!(!cached.results.is_empty(), "threads={threads}");
-            assert_eq!(cached.stats, uncached.stats, "threads={threads}");
-            assert_eq!(cached.results.len(), uncached.results.len());
-            for (a, b) in cached.results.iter().zip(&uncached.results) {
-                assert_eq!(a.items, b.items, "threads={threads}");
-                assert_eq!(a.fcp.to_bits(), b.fcp.to_bits(), "{:?}", a.items);
-                assert_eq!(
-                    a.frequent_probability.to_bits(),
-                    b.frequent_probability.to_bits(),
-                    "{:?}",
-                    a.items
-                );
-            }
-        }
-    }
-
-    #[test]
     fn empty_database_and_high_thresholds() {
         let empty = UncertainDatabase::new(vec![], utdb::ItemDictionary::new());
         assert!(dfs(&empty, &MinerConfig::new(1, 0.5)).results.is_empty());
@@ -868,21 +833,50 @@ mod tests {
 
     #[test]
     fn shared_cache_matches_private_cache_bitwise() {
-        // Toggling between a private run-scoped cache and a shared
-        // snapshot-scoped cache must not move a single bit of output —
-        // the invariant the concurrent service relies on.
-        let db = table4();
-        let cfg = MinerConfig::new(2, 0.6).with_fcp_method(crate::config::FcpMethod::ExactOnly);
-        let private = dfs(&db, &cfg);
-        let shared = Arc::new(crate::cache::SharedEventCache::new(1024));
-        for _ in 0..2 {
-            let out = run_dfs(&db, &cfg, &mut NullSink, Some(Arc::clone(&shared)));
-            assert_eq!(out.results, private.results);
-            assert_eq!(out.stats, private.stats);
-            assert_eq!(out.carve_ceiling, private.carve_ceiling);
+        // A private run builds every family through its tail memo alone; a
+        // snapshot run projects tables from the shared cache (at capacity
+        // 0 it stores none). Neither may move a single bit of output — the
+        // invariant the concurrent service relies on. The dense base is
+        // where the memo serves most tails.
+        let dense = crate::events::tests::dense_db();
+        let cases = [(&table4(), 2, 0.6), (&dense, 48, 0.8), (&dense, 64, 0.8)];
+        for (db, min_sup, pfct) in cases {
+            for threads in [1, 2, 4] {
+                let cfg = MinerConfig::new(min_sup, pfct)
+                    .with_fcp_method(crate::config::FcpMethod::ExactOnly)
+                    .with_threads(threads);
+                let private = dfs(db, &cfg);
+                let what = format!("min_sup={min_sup} threads={threads}");
+                assert!(!private.results.is_empty(), "{what}");
+                let k = &private.kernel;
+                assert_eq!((k.bound_cache_hits, k.bound_cache_misses), (0, 0));
+                for capacity in [0, 1024] {
+                    let shared = Arc::new(SharedEventCache::new(capacity));
+                    for _ in 0..2 {
+                        let out = run_dfs(db, &cfg, &mut NullSink, Some(Arc::clone(&shared)));
+                        assert_eq!(out.stats, private.stats, "{what}");
+                        assert_eq!(out.carve_ceiling, private.carve_ceiling, "{what}");
+                        assert_eq!(out.results.len(), private.results.len(), "{what}");
+                        for (a, b) in out.results.iter().zip(&private.results) {
+                            assert_eq!(a.items, b.items, "{what}");
+                            assert_eq!(a.fcp.to_bits(), b.fcp.to_bits(), "{:?}", a.items);
+                            assert_eq!(
+                                a.frequent_probability.to_bits(),
+                                b.frequent_probability.to_bits(),
+                                "{:?}",
+                                a.items
+                            );
+                        }
+                    }
+                    // The second run found tables the first one inserted.
+                    assert_eq!(
+                        shared.hits() > 0,
+                        capacity > 0,
+                        "{what} capacity={capacity}"
+                    );
+                }
+            }
         }
-        // The second run found tables the first one inserted.
-        assert!(shared.hits() > 0);
     }
 
     #[test]

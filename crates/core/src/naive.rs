@@ -23,8 +23,8 @@ use crate::trace::MinerSink;
 ///
 /// The PFI stage uses `pft = pfct`: any itemset with `Pr_F(X) ≤ pfct`
 /// has `Pr_FC(X) ≤ pfct` too, so the restriction loses nothing.
-/// `cache = None` gives the run a private event-table cache (see
-/// [`Evaluator::new`]).
+/// `cache` is a snapshot's shared event-table cache, `None` outside
+/// snapshot runs (see [`Evaluator::new`]).
 pub(crate) fn run_naive<S: MinerSink + ?Sized>(
     db: &UncertainDatabase,
     config: &MinerConfig,

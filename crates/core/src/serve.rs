@@ -66,7 +66,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockRead
 use std::time::{Duration, Instant};
 
 use crate::config::{FcpMethod, MinerConfig};
-use crate::metrics::lint_prometheus;
+use crate::http;
 use crate::miner::Algorithm;
 use crate::result::MiningOutcome;
 use crate::snapshot::Snapshot;
@@ -1003,54 +1003,17 @@ fn serve_metrics_text(inner: &ServerInner) -> String {
 }
 
 fn handle_http_connection(mut stream: TcpStream, inner: &Arc<ServerInner>) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 8192 {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
-        }
-    }
-    let head = String::from_utf8_lossy(&buf);
-    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let (status, content_type, body) = if method != "GET" {
-        (405, "text/plain", "method not allowed\n".to_owned())
-    } else {
-        match path {
-            "/metrics" => {
-                let text = serve_metrics_text(inner);
-                match lint_prometheus(&text) {
-                    Ok(()) => (200, "text/plain; version=0.0.4", text),
-                    Err(e) => (500, "text/plain", format!("exporter lint failure: {e}\n")),
-                }
-            }
-            "/healthz" => (200, "application/json", inner.telemetry.healthz_json()),
-            "/flight" => (200, "application/x-ndjson", inner.telemetry.flight_jsonl()),
-            "/" => (
-                200,
-                "text/plain",
-                "pfcim serve: framed queries + /metrics /healthz /flight\n".to_owned(),
-            ),
-            _ => (404, "text/plain", "not found\n".to_owned()),
-        }
-    };
-    let reason = match status {
-        200 => "OK",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        _ => "Internal Server Error",
-    };
-    let response = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+    http::serve_connection(&mut stream, |path| match path {
+        "/metrics" => http::prometheus(serve_metrics_text(inner)),
+        "/healthz" => (200, "application/json", inner.telemetry.healthz_json()),
+        "/flight" => (200, "application/x-ndjson", inner.telemetry.flight_jsonl()),
+        "/" => (
+            200,
+            "text/plain",
+            "pfcim serve: framed queries + /metrics /healthz /flight\n".to_owned(),
+        ),
+        _ => http::not_found(),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1099,6 +1062,7 @@ pub fn query_once(addr: &str, body: &str, timeout: Duration) -> io::Result<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::lint_prometheus;
     use utdb::UncertainDatabase;
 
     fn table4() -> UncertainDatabase {
@@ -1330,7 +1294,7 @@ mod tests {
         )
         .unwrap();
         let (status, body) =
-            crate::telemetry::http_get(&addr, "/metrics", Duration::from_secs(5)).unwrap();
+            crate::http::http_get(&addr, "/metrics", Duration::from_secs(5)).unwrap();
         assert_eq!(status, 200, "{body}");
         assert!(lint_prometheus(&body).is_ok(), "{body}");
         assert!(body.contains("pfcim_serve_queries_total 1"), "{body}");
@@ -1339,11 +1303,10 @@ mod tests {
             "{body}"
         );
         let (status, body) =
-            crate::telemetry::http_get(&addr, "/healthz", Duration::from_secs(5)).unwrap();
+            crate::http::http_get(&addr, "/healthz", Duration::from_secs(5)).unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"status\""), "{body}");
-        let (status, _) =
-            crate::telemetry::http_get(&addr, "/nope", Duration::from_secs(5)).unwrap();
+        let (status, _) = crate::http::http_get(&addr, "/nope", Duration::from_secs(5)).unwrap();
         assert_eq!(status, 404);
         server.shutdown();
     }

@@ -10,9 +10,9 @@
 //! bitwise-identical to a direct build).
 //!
 //! [`Snapshot::miner`] is the query entry point; `Miner::new(&db)` is
-//! the same engine with a run-scoped cache — both drive one code path
-//! through the builder's `run`. Cloning a `Snapshot` is cheap (two `Arc`
-//! bumps) — hand one clone to each server worker.
+//! the same engine without a table cache — both drive one code path
+//! through the builder's `run`. Cloning a `Snapshot` is cheap (a few
+//! `Arc` bumps) — hand one clone to each server worker.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,10 +22,9 @@ use utdb::UncertainDatabase;
 use crate::cache::SharedEventCache;
 use crate::miner::Miner;
 
-/// Default capacity of a snapshot's shared event-table cache. Snapshots
-/// outlive any single query, so this is deliberately far above the
-/// per-run default of
-/// [`crate::config::DEFAULT_EVENT_CACHE_CAPACITY`] (32).
+/// Default capacity of a snapshot's shared event-table cache: snapshots
+/// outlive any single query, and queries at the same `min_sup` ask for
+/// the same tables.
 pub const DEFAULT_SNAPSHOT_CACHE_CAPACITY: usize = 1024;
 
 /// An immutable, named, shareable view of an uncertain database plus the
@@ -56,21 +55,10 @@ impl Snapshot {
         db: UncertainDatabase,
         capacity: usize,
     ) -> Self {
-        Self::with_cache(name, db, SharedEventCache::new(capacity))
-    }
-
-    /// Wrap `db` with a caller-built shared cache — e.g. a forced
-    /// single-shard [`SharedEventCache::with_shards`] cache, the control
-    /// arm of the bench's lock-contention A/B.
-    pub fn with_cache(
-        name: impl Into<String>,
-        db: UncertainDatabase,
-        cache: SharedEventCache,
-    ) -> Self {
         Self {
             name: name.into(),
             db: Arc::new(db),
-            cache: Arc::new(cache),
+            cache: Arc::new(SharedEventCache::new(capacity)),
             generation: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -127,9 +115,9 @@ impl Snapshot {
     }
 
     /// Start building a query against this snapshot: the same fluent
-    /// [`Miner`] API, with the evaluator's bound-input cache replaced by
-    /// this snapshot's shared cache so concurrent and successive queries
-    /// reuse each other's event tables.
+    /// [`Miner`] API, wired to this snapshot's shared table cache so
+    /// concurrent and successive queries reuse each other's event
+    /// tables.
     pub fn miner(&self) -> Miner<'_> {
         Miner::new(&self.db).with_shared_cache(Arc::clone(&self.cache))
     }

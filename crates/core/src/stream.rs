@@ -321,8 +321,8 @@ impl StreamMiner {
     /// Bring the maintained pattern set up to date with the window,
     /// emitting the diff as [`PatternDelta`]s (returned, and forwarded
     /// to `sink.pattern_delta`). The focused run's trace events flow
-    /// through `sink` too, with a fresh per-step event cache so no
-    /// bound-input memoization crosses window states.
+    /// through `sink` too; its tail memo lives for the one step, so no
+    /// memoized bound input crosses window states.
     pub fn refresh<S: ShardableSink + ?Sized>(&mut self, sink: &mut S) -> StreamStep {
         let start = Instant::now();
         self.stats.steps += 1;

@@ -22,9 +22,9 @@
 //!   for post-mortem triage.
 //! * an **HTTP endpoint** ([`Telemetry::serve`], std-only, one thread)
 //!   serving `GET /metrics` (Prometheus text, self-checked through
-//!   [`lint_prometheus`]), `GET /healthz` (phase progress, ETA, a
-//!   last-progress watchdog) and `GET /flight` (the ring dump) while
-//!   the run is alive. Binding port `0` picks a free port; the bound
+//!   [`crate::metrics::lint_prometheus`]), `GET /healthz` (phase
+//!   progress, ETA, a last-progress watchdog) and `GET /flight` (the
+//!   ring dump) while the run is alive. Binding port `0` picks a free port; the bound
 //!   address is returned.
 //!
 //! The sampler reads ~40 relaxed atomics per tick, so the overhead at
@@ -50,15 +50,15 @@
 //! telemetry.shutdown();
 //! ```
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::config::MinerConfig;
-use crate::metrics::{lint_prometheus, MetricsRegistry};
+use crate::http;
+use crate::metrics::MetricsRegistry;
 use crate::par::PoolGauges;
 use crate::result::MiningOutcome;
 use crate::trace::{DpDecision, FcpEvalKind, MinerSink, Phase, ShardableSink};
@@ -524,7 +524,6 @@ pub struct TelemetryState {
     runs_finished: AtomicU64,
     min_sup: AtomicU64,
     threads: AtomicU64,
-    event_cache_capacity: AtomicU64,
     // KernelStats have no per-event trace; they arrive wholesale at
     // run_finished, so these stay zero during the run.
     bound_cache_hits: AtomicU64,
@@ -555,7 +554,6 @@ impl TelemetryState {
             runs_finished: AtomicU64::new(0),
             min_sup: AtomicU64::new(0),
             threads: AtomicU64::new(0),
-            event_cache_capacity: AtomicU64::new(0),
             bound_cache_hits: AtomicU64::new(0),
             bound_cache_misses: AtomicU64::new(0),
             bitmap_words: AtomicU64::new(0),
@@ -658,10 +656,6 @@ impl TelemetryState {
         reg.set_gauge("pool_workers", s.pool_workers as f64);
         reg.set_gauge("min_sup", self.min_sup.load(Ordering::Relaxed) as f64);
         reg.set_gauge("threads", self.threads.load(Ordering::Relaxed) as f64);
-        reg.set_gauge(
-            "event_cache_capacity",
-            self.event_cache_capacity.load(Ordering::Relaxed) as f64,
-        );
         // Kernel counters arrive wholesale at run_finished; the hit-rate
         // gauge only exists once there is something to divide.
         let (hits, misses) = (
@@ -772,9 +766,6 @@ impl MinerSink for TelemetrySink {
         self.state
             .threads
             .store(config.effective_threads() as u64, Ordering::Relaxed);
-        self.state
-            .event_cache_capacity
-            .store(config.event_cache_capacity as u64, Ordering::Relaxed);
         self.state.finished.store(false, Ordering::Relaxed);
         self.state.touch_progress();
         self.event(TelemetryEventKind::RunStarted, config.min_sup as u64, 0);
@@ -1096,91 +1087,24 @@ fn handle_connection(
     flight: &FlightRecorder,
     stall_threshold: Duration,
 ) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    // Read until the end of the request head (we ignore any body; every
-    // endpoint is a GET) with a small cap against garbage input.
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 8192 {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
-        }
-    }
-    let head = String::from_utf8_lossy(&buf);
-    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let (status, content_type, body) = if method != "GET" {
-        (405, "text/plain", "method not allowed\n".to_owned())
-    } else {
-        match path {
-            "/metrics" => {
-                let text = state.registry().to_prometheus("pfcim");
-                // The endpoint lints its own output: serving malformed
-                // exposition text is a bug, and a 500 makes it loud.
-                match lint_prometheus(&text) {
-                    Ok(()) => (200, "text/plain; version=0.0.4", text),
-                    Err(e) => (500, "text/plain", format!("exporter lint failure: {e}\n")),
-                }
-            }
-            "/healthz" => (200, "application/json", state.healthz_json(stall_threshold)),
-            "/flight" => (200, "application/x-ndjson", flight.to_jsonl()),
-            "/" => (
-                200,
-                "text/plain",
-                "pfcim telemetry: /metrics /healthz /flight\n".to_owned(),
-            ),
-            _ => (404, "text/plain", "not found\n".to_owned()),
-        }
-    };
-    let reason = match status {
-        200 => "OK",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        _ => "Internal Server Error",
-    };
-    let response = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
-}
-
-/// Minimal HTTP GET against a telemetry endpoint (or anything speaking
-/// enough HTTP/1.1): returns `(status, body)`. Used by `pfcim top`, the
-/// CI smoke test and the integration tests — std-only, one connection,
-/// no keep-alive.
-pub fn http_get(addr: &str, path: &str, timeout: Duration) -> std::io::Result<(u16, String)> {
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad address"))?;
-    let mut stream = TcpStream::connect_timeout(&sock, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(request.as_bytes())?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no header end"))?;
-    let status = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, body.to_owned()))
+    http::serve_connection(stream, |path| match path {
+        "/metrics" => http::prometheus(state.registry().to_prometheus("pfcim")),
+        "/healthz" => (200, "application/json", state.healthz_json(stall_threshold)),
+        "/flight" => (200, "application/x-ndjson", flight.to_jsonl()),
+        "/" => (
+            200,
+            "text/plain",
+            "pfcim telemetry: /metrics /healthz /flight\n".to_owned(),
+        ),
+        _ => http::not_found(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::http_get;
+    use crate::metrics::lint_prometheus;
     use proptest::prelude::*;
 
     fn sample_with(seq: u64, nodes: u64) -> TelemetrySample {
@@ -1366,18 +1290,15 @@ mod tests {
 
     #[test]
     fn metrics_text_passes_the_linter() {
-        let db = paper_db();
+        // Through a snapshot, whose table cache gives the hit-rate gauge
+        // lookups to divide.
+        let snapshot = crate::Snapshot::new("t", paper_db());
         let telemetry = Telemetry::start();
         let mut sink = telemetry.sink();
-        crate::Miner::new(&db)
-            .min_sup(2)
-            .pfct(0.8)
-            .sink(&mut sink)
-            .run();
+        snapshot.miner().min_sup(2).pfct(0.8).sink(&mut sink).run();
         let text = telemetry.metrics_text();
         lint_prometheus(&text).unwrap();
         assert!(text.contains("pfcim_nodes_visited"));
-        assert!(text.contains("pfcim_event_cache_capacity"));
         assert!(text.contains("pfcim_bound_cache_hit_rate"));
         let health = telemetry.healthz_json();
         assert!(health.contains("\"status\":\"finished\""));

@@ -2,8 +2,8 @@
 //!
 //! These are the classical algorithms the paper's compression experiment
 //! (Fig. 10) measures against — FP-growth for frequent itemsets and a
-//! closed-itemset miner standing in for CLOSET+ — plus Apriori and Eclat
-//! as cross-validation baselines. They operate on an
+//! closed-itemset miner standing in for CLOSET+ — plus Eclat as a
+//! cross-validation baseline. They operate on an
 //! [`utdb::UncertainDatabase`] *ignoring probabilities* (every transaction
 //! counts), which also makes them directly usable inside possible-world
 //! enumeration where each world is an exact database.
@@ -15,13 +15,11 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod apriori;
 pub mod closed;
 pub mod eclat;
 pub mod fpgrowth;
 pub mod fptree;
 
-pub use apriori::frequent_itemsets_apriori;
 pub use closed::{closed_by_filtering, frequent_closed_itemsets};
 pub use eclat::frequent_itemsets_eclat;
 pub use fpgrowth::frequent_itemsets_fpgrowth;
@@ -107,13 +105,10 @@ mod tests {
             let db = testutil::random_db(seed, 40, 10, 0.4);
             for min_sup in [1, 2, 5, 10, 20] {
                 let brute = testutil::brute_force_frequent(&db, min_sup);
-                let mut ap = frequent_itemsets_apriori(&db, min_sup);
                 let mut ec = frequent_itemsets_eclat(&db, min_sup);
                 let mut fp = frequent_itemsets_fpgrowth(&db, min_sup);
-                sort_canonical(&mut ap);
                 sort_canonical(&mut ec);
                 sort_canonical(&mut fp);
-                assert_eq!(ap, brute, "apriori seed={seed} min_sup={min_sup}");
                 assert_eq!(ec, brute, "eclat seed={seed} min_sup={min_sup}");
                 assert_eq!(fp, brute, "fpgrowth seed={seed} min_sup={min_sup}");
             }
@@ -159,17 +154,14 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// All three frequent-itemset miners agree on arbitrary inputs.
+        /// Both frequent-itemset miners agree on arbitrary inputs.
         #[test]
         fn miners_agree(db in arb_db(), min_sup in 1usize..6) {
-            let mut ap = frequent_itemsets_apriori(&db, min_sup);
             let mut ec = frequent_itemsets_eclat(&db, min_sup);
             let mut fp = frequent_itemsets_fpgrowth(&db, min_sup);
-            sort_canonical(&mut ap);
             sort_canonical(&mut ec);
             sort_canonical(&mut fp);
-            prop_assert_eq!(&ap, &ec);
-            prop_assert_eq!(&ap, &fp);
+            prop_assert_eq!(&ec, &fp);
         }
 
         /// The direct closed miner equals filtering the frequent set.

@@ -1,31 +1,22 @@
 //! Probabilistic frequent itemset mining — the prior work the paper
 //! builds on and compares against.
 //!
-//! Two uncertainty models from the literature are implemented:
-//!
-//! * **Probabilistic frequent model** (Bernecker et al. KDD'09; Sun et al.
-//!   "TODIS" KDD'10): an itemset is *probabilistically frequent* when
-//!   `Pr{ sup(X) ≥ min_sup } > pft`. [`freq_prob`] computes the frequent
-//!   probability by the `O(n · min_sup)` dynamic program; [`todis`] mines
-//!   the complete result set (the input to the paper's "Naive" baseline
-//!   and the PFI counts of Fig. 10), and also exposes the *probabilistic
-//!   support* notion used by the related-work comparison in §II.B.
-//! * **Expected support model** (Chui et al. PAKDD'07): an itemset is
-//!   frequent when its expected support reaches a threshold. [`expected`]
-//!   implements the U-Apriori miner.
+//! The **probabilistic frequent model** (Bernecker et al. KDD'09; Sun et
+//! al. "TODIS" KDD'10): an itemset is *probabilistically frequent* when
+//! `Pr{ sup(X) ≥ min_sup } > pft`. [`freq_prob`] computes the frequent
+//! probability by the `O(n · min_sup)` dynamic program; [`todis`] mines
+//! the complete result set (the input to the paper's "Naive" baseline
+//! and the PFI counts of Fig. 10), and also exposes the *probabilistic
+//! support* notion used by the related-work comparison in §II.B.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod expected;
 pub mod freq_prob;
 pub mod todis;
-pub mod uf_growth;
 
-pub use expected::{expected_frequent_itemsets, ExpectedItemset};
 pub use freq_prob::{frequent_probability, frequent_probability_of_tids, FreqProbScratch};
 pub use todis::{probabilistic_frequent_itemsets, probabilistic_support, ProbabilisticItemset};
-pub use uf_growth::expected_frequent_itemsets_ufgrowth;
 
 #[cfg(test)]
 mod proptests {
@@ -131,18 +122,6 @@ mod proptests {
                     prop_assert!(frequent_probability(&db, &x, ps) >= pft);
                 }
                 prop_assert!(frequent_probability(&db, &x, ps + 1) < pft);
-            }
-        }
-
-        /// Expected support model: U-Apriori results carry exact expected
-        /// supports above the threshold.
-        #[test]
-        fn expected_support_model_is_exact(db in arb_udb(), min_esup in 0.1f64..2.0) {
-            for m in expected_frequent_itemsets(&db, min_esup) {
-                prop_assert!(m.expected_support >= min_esup);
-                prop_assert!(
-                    (m.expected_support - db.expected_support(&m.items)).abs() < 1e-12
-                );
             }
         }
     }

@@ -63,41 +63,28 @@ run grep -q '^pfcim_nodes_visited ' "$profdir/metrics.prom"
 run grep -q '^# TYPE pfcim_audit_incremental counter' "$profdir/metrics.prom"
 
 # Dense byte-diff smoke: the tiny T20I10D30KP40 cell spends its mines
-# building event tables through the table cache and the run's tail memo.
-# Turning both off (--event-cache 0) or splitting the run over two
-# workers must not change one byte of the output. (Plain invocations:
-# the `run` helper echoes into the captured stdout.)
+# building event families through the run's tail memo. Splitting the
+# run over two workers must not change one byte of the output, at 20%
+# and at 10%, where the miner also accepts downdates, certifies refusals
+# before trying them and hands rebuilt rows' tails to the tail memo.
+# The service smoke below diffs these outputs against the snapshot's
+# table-cache path. (Plain invocations: the `run` helper echoes into the
+# captured stdout.)
 densedir=target/dense-smoke
 mkdir -p "$densedir"
 run cargo run --release -q -p pfcim-bench --example gen_smoke_dat -- --dense "$densedir/dense.dat"
-echo "==> dense smoke (event cache off and two threads vs default)"
-for variant in default nocache threads2; do
-    case "$variant" in
-        default) extra=() ;;
-        nocache) extra=(--event-cache 0) ;;
-        threads2) extra=(--threads 2) ;;
-    esac
-    cargo run --release -q -p pfcim --bin pfcim -- "$densedir/dense.dat" \
-        --min-sup 20% "${extra[@]}" >"$densedir/$variant.out" 2>/dev/null
-done
+echo "==> dense smoke (two threads vs default, 20% and 10%)"
+cargo run --release -q -p pfcim --bin pfcim -- "$densedir/dense.dat" \
+    --min-sup 20% >"$densedir/default.out" 2>/dev/null
+cargo run --release -q -p pfcim --bin pfcim -- "$densedir/dense.dat" \
+    --min-sup 20% --threads 2 >"$densedir/threads2.out" 2>/dev/null
+cargo run --release -q -p pfcim --bin pfcim -- "$densedir/dense.dat" \
+    --min-sup 10% --stats >"$densedir/default10.out" 2>"$densedir/default10.err"
+cargo run --release -q -p pfcim --bin pfcim -- "$densedir/dense.dat" \
+    --min-sup 10% --threads 2 >"$densedir/threads210.out" 2>/dev/null
 run test -s "$densedir/default.out"
-run diff "$densedir/default.out" "$densedir/nocache.out"
-run diff "$densedir/default.out" "$densedir/threads2.out"
-# The same three runs at 10%, where the miner also accepts downdates,
-# certifies refusals before trying them and hands rebuilt rows' tails to
-# the tail memo: none of it may move a byte either.
-echo "==> dense smoke at 10% (event cache off and two threads vs default)"
-for variant in default nocache threads2; do
-    case "$variant" in
-        default) extra=(--stats) ;;
-        nocache) extra=(--event-cache 0) ;;
-        threads2) extra=(--threads 2) ;;
-    esac
-    cargo run --release -q -p pfcim --bin pfcim -- "$densedir/dense.dat" \
-        --min-sup 10% "${extra[@]}" >"$densedir/${variant}10.out" 2>"$densedir/${variant}10.err"
-done
 run test -s "$densedir/default10.out"
-run diff "$densedir/default10.out" "$densedir/nocache10.out"
+run diff "$densedir/default.out" "$densedir/threads2.out"
 run diff "$densedir/default10.out" "$densedir/threads210.out"
 run grep -Eq '^# dp audit: inc=[1-9]' "$densedir/default10.err"
 
@@ -174,14 +161,16 @@ run grep -q '"record":"sample"' "$teldir/flight_panic.jsonl"
 # file, and an already-expired deadline must exit with code 3. Deep
 # validation (bit-identity across thread counts, carve correctness,
 # cache/KernelStats reconciliation) lives in tests/serve_service.rs and
-# the pfcim_core::serve unit suite.
+# the pfcim_core::serve unit suite. The same server also loads the dense
+# smoke set, whose answers must byte-match the batch runs above: the
+# snapshot's shared table cache against the tail memo alone.
 servedir=target/serve-smoke
 rm -rf "$servedir"
 mkdir -p "$servedir"
 : >"$servedir/serve.err"
 echo "==> service smoke (pfcim serve + concurrent queries)"
 cargo run --release -q -p pfcim --bin pfcim -- serve 127.0.0.1:0 \
-    "$profdir/smoke.dat" >/dev/null 2>"$servedir/serve.err" &
+    "$profdir/smoke.dat" "$densedir/dense.dat" >/dev/null 2>"$servedir/serve.err" &
 servepid=$!
 saddr=""
 for _ in $(seq 1 100); do
@@ -209,6 +198,13 @@ cargo run --release -q -p pfcim --bin pfcim -- query "$saddr" \
 cargo run --release -q -p pfcim --bin pfcim -- "$profdir/smoke.dat" \
     --min-sup 8 --pfct 0.3 >"$servedir/batch.out" 2>/dev/null
 run diff "$servedir/q_one.out" "$servedir/batch.out"
+echo "==> service-vs-batch byte-identity (dense, 20% and 10%)"
+for ms in 160 80; do
+    cargo run --release -q -p pfcim --bin pfcim -- query "$saddr" \
+        --snapshot dense --min-sup "$ms" --pfct 0.8 >"$servedir/dense$ms.out" 2>/dev/null
+done
+run diff "$servedir/dense160.out" "$densedir/default.out"
+run diff "$servedir/dense80.out" "$densedir/default10.out"
 run curl -fsS "http://$saddr/metrics" -o "$servedir/metrics.prom"
 run grep -q '^pfcim_serve_queries_total [1-9]' "$servedir/metrics.prom"
 run grep -Eq '^pfcim_serve_snapshot_cache_hits_total\{snapshot="smoke"\} [1-9]' \

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pfcim <FILE.dat> --min-sup <N|R%> [--pfct P] [--epsilon E] [--delta D]
-//!       [--variant mpfci|bfs|naive] [--threads N] [--event-cache N] [--stats]
+//!       [--variant mpfci|bfs|naive] [--threads N] [--stats]
 //!       [--trace FILE.jsonl] [--metrics FILE.json] [--prom FILE.prom]
 //!       [--telemetry ADDR] [--flight-dump FILE.jsonl]
 //! pfcim profile <FILE.dat> --min-sup <N|R%> [--out trace.json] [--sample N]
@@ -47,9 +47,7 @@
 //! in-process work-stealing pool. `N = 0` — the default — picks the
 //! machine's available parallelism (overridable via the `PFCIM_THREADS`
 //! environment variable); `N = 1` is the sequential miner. Exact-mode
-//! output is identical for every thread count. `--event-cache N` sets the
-//! evaluator's bound-input cache capacity (default 32, overridable via
-//! `PFCIM_EVENT_CACHE`; 0 disables memoization).
+//! output is identical for every thread count.
 //!
 //! `--metrics` records the run through a [`HistogramSink`] and writes
 //! the resulting registry snapshot (counters mirroring the miner stats,
@@ -141,7 +139,7 @@ fn parse_args() -> Result<Args, String> {
         argv.next();
     }
     while let Some(arg) = argv.next() {
-        // --threads / --event-cache / --telemetry parse identically
+        // --threads / --telemetry parse identically
         // in pfcim and repro (pfcim_core::args).
         if common.accept(&arg, || argv.next())? {
             continue;
@@ -319,9 +317,8 @@ fn main() -> ExitCode {
         }
     };
 
-    // Unset shared flags keep the config defaults (auto threads, default
-    // cache capacity — both overridable via PFCIM_THREADS /
-    // PFCIM_EVENT_CACHE; see pfcim_core::args).
+    // An unset --threads keeps the config default (auto, overridable via
+    // PFCIM_THREADS; see pfcim_core::args).
     let config = args
         .common
         .apply(MinerConfig::new(min_sup, args.pfct).with_approximation(args.epsilon, args.delta));
@@ -484,23 +481,6 @@ fn main() -> ExitCode {
     if args.stats {
         eprintln!("{}", outcome.timed_stats());
         eprintln!("# kernel: {}", outcome.kernel);
-        // The raw hit/miss counters above are hard to eyeball; print the
-        // derived rate and the capacity that produced it.
-        let (hits, misses) = (
-            outcome.kernel.bound_cache_hits,
-            outcome.kernel.bound_cache_misses,
-        );
-        let lookups = hits + misses;
-        let rate = if lookups == 0 {
-            "-".to_owned()
-        } else {
-            format!("{:.1}%", 100.0 * hits as f64 / lookups as f64)
-        };
-        eprintln!(
-            "# bound_cache: hit rate {rate} ({hits}/{lookups} lookups), \
-             event_cache_capacity={}",
-            config.event_cache_capacity
-        );
         eprintln!("# dp audit: {}", outcome.audit);
         if let Some(hist) = &hist {
             for (name, h) in hist.snapshot().histograms() {
