@@ -98,30 +98,6 @@ fn bench_estimators(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_tail_approximations(c: &mut Criterion) {
-    // The exact DP vs the O(n) analytic approximations of the frequent
-    // probability (the acceleration direction of the cited related work).
-    use prob::poisson_binomial::tail_at_least;
-    use prob::{tail_normal, tail_poisson, tail_refined_normal};
-    use rand::rngs::SmallRng;
-    use rand::{RngExt, SeedableRng};
-
-    let mut rng = SmallRng::seed_from_u64(2);
-    let probs: Vec<f64> = (0..2000).map(|_| 0.1 + 0.8 * rng.random::<f64>()).collect();
-    let k = 700;
-    let mut group = c.benchmark_group("ablation/tail_methods");
-    common::tune(&mut group);
-    group.bench_function("exact_dp", |b| {
-        b.iter(|| black_box(tail_at_least(&probs, k)))
-    });
-    group.bench_function("normal", |b| b.iter(|| black_box(tail_normal(&probs, k))));
-    group.bench_function("refined_normal", |b| {
-        b.iter(|| black_box(tail_refined_normal(&probs, k)))
-    });
-    group.bench_function("poisson", |b| b.iter(|| black_box(tail_poisson(&probs, k))));
-    group.finish();
-}
-
 fn report_time_per_pruning(_c: &mut Criterion) {
     // Not a timing loop: one full-ablation pass that prices each pruning
     // rule as (extra elapsed time without it) / (times it fired in the
@@ -172,7 +148,6 @@ criterion_group!(
     bench_checking_strategies,
     bench_pairwise_budget,
     bench_estimators,
-    bench_tail_approximations,
     report_time_per_pruning
 );
 criterion_main!(benches);

@@ -91,9 +91,6 @@ fn bench_exact_miners(c: &mut Criterion) {
     group.bench_function("fpgrowth", |b| {
         b.iter(|| black_box(fim::frequent_itemsets_fpgrowth(&db, ms)))
     });
-    group.bench_function("eclat", |b| {
-        b.iter(|| black_box(fim::frequent_itemsets_eclat(&db, ms)))
-    });
     group.bench_function("closed", |b| {
         b.iter(|| black_box(fim::frequent_closed_itemsets(&db, ms)))
     });

@@ -105,6 +105,17 @@ fn metrics_and_healthz_scrape_cleanly_during_a_live_run() {
     let doc = JsonValue::parse(&body).expect("post-run healthz must be valid JSON");
     assert_eq!(doc.get("finished").and_then(JsonValue::as_bool), Some(true));
 
+    // The post-run scrape carries the run's screened-family count.
+    let metrics = get_ok(addr, "/metrics");
+    let screened = format!(
+        "pfcim_families_screened {}\n",
+        outcome.kernel.families_screened
+    );
+    assert!(
+        metrics.contains(&screened),
+        "missing {screened:?}:\n{metrics}"
+    );
+
     let flight = get_ok(addr, "/flight");
     let mut samples = 0usize;
     for line in flight.lines() {

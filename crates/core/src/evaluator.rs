@@ -40,7 +40,9 @@ use utdb::{Item, TidBitmap, UncertainDatabase};
 
 use crate::cache::SharedEventCache;
 use crate::config::{FcpMethod, MinerConfig};
-use crate::events::{BoundTier, EventTable, NonClosureEvents, TailMemo, MAX_EXACT_TERMS};
+use crate::events::{
+    AbsenceScan, BoundTier, EventTable, NonClosureEvents, TailMemo, MAX_EXACT_TERMS,
+};
 use crate::fcp::{approx_fcp, approx_fcp_adaptive, approx_fcp_chunked};
 use crate::result::{MiningOutcome, Pfci};
 use crate::stats::RunLedger;
@@ -132,37 +134,60 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
     /// in the database: directly through the tail memo, or through the
     /// snapshot's table cache.
     ///
+    /// With `screen_at = Some(pr_f)` the [`AbsenceScan`] runs first, and
+    /// a family it decides is not built at all: the result carries the
+    /// tier its bounds would have reported (see [`AbsenceScan::decides`]).
+    /// The screen runs before the table cache, so snapshot queries skip
+    /// the lookup too; a private run builds from the scan it already has.
+    ///
     /// Cached projection and direct construction produce bitwise-identical
     /// families (the events module tests prove it), so the two paths
     /// never disagree on a mined probability.
-    pub fn events_for(&mut self, items: &[Item], tids: &TidBitmap) -> NonClosureEvents {
+    pub fn events_for(
+        &mut self,
+        items: &[Item],
+        tids: &TidBitmap,
+        screen_at: Option<f64>,
+    ) -> Result<NonClosureEvents, BoundTier> {
         let db = self.db;
         let min_sup = self.cfg.min_sup;
         let cache = self.cache.as_deref();
         let tail_memo = &mut self.tail_memo;
         let mut sink = Tee(&mut self.ledger, &mut *self.sink);
         let (events, hit) = timed(Phase::EventBuild, &mut sink, || {
+            let ext = (0..db.num_items() as u32)
+                .map(Item)
+                .filter(|i| items.binary_search(i).is_err());
+            let scan = match (cache, screen_at) {
+                (Some(_), None) => None,
+                _ => {
+                    let mut scan = AbsenceScan::new(db, tids, ext, tail_memo);
+                    if let Some(tier) = screen_at.and_then(|pr_f| scan.decides(db, tids, pr_f)) {
+                        return (Err(tier), None);
+                    }
+                    Some(scan)
+                }
+            };
             let Some(cache) = cache else {
-                let ext = (0..db.num_items() as u32)
-                    .map(Item)
-                    .filter(|i| items.binary_search(i).is_err());
+                let scan = scan.expect("private runs always scan");
                 return (
-                    NonClosureEvents::build_memoized(db, tids, ext, tail_memo),
+                    Ok(NonClosureEvents::from_scan(db, tids, scan, tail_memo)),
                     None,
                 );
             };
             let fingerprint = tids.fingerprint();
             if let Some(table) = cache.get(fingerprint, tids, min_sup) {
-                return (table.family_excluding(items), Some(true));
+                return (Ok(table.family_excluding(items)), Some(true));
             }
             let table = Arc::new(EventTable::build_memoized(db, tids, tail_memo));
             cache.insert(fingerprint, Arc::clone(&table));
-            (table.family_excluding(items), Some(false))
+            (Ok(table.family_excluding(items)), Some(false))
         });
-        match hit {
-            Some(true) => self.ledger.kernel.bound_cache_hits += 1,
-            Some(false) => self.ledger.kernel.bound_cache_misses += 1,
-            None => {}
+        match (&events, hit) {
+            (Err(_), _) => self.ledger.kernel.families_screened += 1,
+            (_, Some(true)) => self.ledger.kernel.bound_cache_hits += 1,
+            (_, Some(false)) => self.ledger.kernel.bound_cache_misses += 1,
+            (_, None) => {}
         }
         events
     }
@@ -170,11 +195,24 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
     /// Full checking phase for an itemset that survived all prunings:
     /// returns `Some(Pfci)` when its frequent closed probability exceeds
     /// `pfct`.
+    ///
+    /// With the probability bounds on and `pr_f > pfct`, the absence
+    /// screen may decide the family before it is built; the decision is
+    /// the one the bounds below would take on the built family, with the
+    /// same events, carve ceiling and emitted probability.
     pub fn evaluate(&mut self, items: &[Item], tids: &TidBitmap, pr_f: f64) -> Option<Pfci> {
-        let events = self.events_for(items, tids);
-        let (lo, hi) = if self.cfg.pruning.probability_bounds {
+        let bounds = self.cfg.pruning.probability_bounds;
+        let pfct = self.cfg.pfct;
+        let screen_at = (bounds && pr_f > pfct).then_some(pr_f);
+        let events = match self.events_for(items, tids, screen_at) {
+            Ok(events) => events,
+            Err(tier) => {
+                self.observe().fcp_bounds(pr_f, pr_f);
+                return Some(self.bound_decided(items, (pr_f, pr_f), tier, pr_f));
+            }
+        };
+        let (lo, hi) = if bounds {
             let max_pairwise = self.cfg.max_pairwise_events;
-            let pfct = self.cfg.pfct;
             let (lo, hi, tier) = timed(Phase::BoundEval, &mut self.observe(), || {
                 events.fcp_bounds_explained(pr_f, max_pairwise, Some(pfct))
             });
@@ -186,15 +224,7 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
                 return None;
             }
             if lo > pfct && hi - lo < DECIDED_WIDTH {
-                // The emitted midpoint depends on which tier decided;
-                // above `lo` a re-run could take a different path, so a
-                // carved answer is only valid below it. An empty family
-                // is `(pr_f, pr_f)` at any threshold — no constraint.
-                if tier != BoundTier::EmptyFamily {
-                    self.carve_ceiling = self.carve_ceiling.min(lo);
-                }
-                self.observe().fcp_evaluated(FcpEvalKind::BoundDecided, 0);
-                return Some(self.emit(items, (lo + hi) / 2.0, pr_f));
+                return Some(self.bound_decided(items, (lo, hi), tier, pr_f));
             }
             if tier == BoundTier::CheapEarly {
                 // The full FCP below will be clamped to the *cheap*
@@ -211,10 +241,32 @@ impl<'a, S: MinerSink + ?Sized> Evaluator<'a, S> {
         (fcp > self.cfg.pfct).then(|| self.emit(items, fcp, pr_f))
     }
 
+    /// Accept an itemset whose sandwich `(lo, hi)` from `tier` is above
+    /// `pfct` and narrower than [`DECIDED_WIDTH`]: emit the midpoint.
+    fn bound_decided(
+        &mut self,
+        items: &[Item],
+        (lo, hi): (f64, f64),
+        tier: BoundTier,
+        pr_f: f64,
+    ) -> Pfci {
+        // The emitted midpoint depends on which tier decided; above `lo`
+        // a re-run could take a different path, so a carved answer is
+        // only valid below it. An empty family is `(pr_f, pr_f)` at any
+        // threshold — no constraint.
+        if tier != BoundTier::EmptyFamily {
+            self.carve_ceiling = self.carve_ceiling.min(lo);
+        }
+        self.observe().fcp_evaluated(FcpEvalKind::BoundDecided, 0);
+        self.emit(items, (lo + hi) / 2.0, pr_f)
+    }
+
     /// Naive checking (the paper's "Naive" baseline): always run
     /// `ApproxFCP`, no bounds.
     pub fn evaluate_naive(&mut self, items: &[Item], tids: &TidBitmap, pr_f: f64) -> Option<Pfci> {
-        let events = self.events_for(items, tids);
+        let events = self
+            .events_for(items, tids, None)
+            .expect("only a screened build returns a tier");
         let fcp = self.sample_fcp(&events, pr_f, false);
         (fcp > self.cfg.pfct).then(|| self.emit(items, fcp, pr_f))
     }
@@ -311,6 +363,89 @@ mod tests {
     fn plan(cfg: &MinerConfig, events: &NonClosureEvents) -> (f64, crate::stats::MinerStats) {
         let (fcp, ledger) = plan_into(cfg, events, &mut NullSink);
         (fcp, ledger.stats)
+    }
+
+    /// 60 rows of `a` at 0.5, 30 rows of `a b` at `p_ab` and 5 rows of
+    /// `a c` at 0.5: at min_sup 30, `c` fails the count screen and `b`'s
+    /// event has the absence factor `2^-65` (the 65 rows without `b`),
+    /// far under a quarter of the float gap below `Pr_F({a}) ≈ 0.77`.
+    fn screen_db(p_ab: f64) -> UncertainDatabase {
+        let mut rows = vec![("a", 0.5); 60];
+        rows.extend(vec![("a b", p_ab); 30]);
+        rows.extend(vec![("a c", 0.5); 5]);
+        UncertainDatabase::parse_symbolic(&rows)
+    }
+
+    /// Evaluate `{a}` of `db` at min_sup 30 and `pfct`: the result, the
+    /// run's carve ceiling and its ledger.
+    fn evaluate_a(db: &UncertainDatabase, pfct: f64) -> (Option<Pfci>, f64, f64, RunLedger) {
+        let cfg = MinerConfig::new(30, pfct);
+        let a = [db.dictionary().get("a").unwrap()];
+        let pr_f = pfim::frequent_probability(db, &a, 30);
+        let tids = db.bitmap_of(a[0]).clone();
+        let mut sink = NullSink;
+        let mut evaluator = Evaluator::new(db, &cfg, &mut sink, None);
+        let pfci = evaluator.evaluate(&a, &tids, pr_f);
+        (pfci, pr_f, evaluator.carve_ceiling, evaluator.ledger)
+    }
+
+    #[test]
+    fn the_screen_decides_as_the_bounds_would() {
+        // b's tail is 2^-900 and its event 2^-965: positive, so the
+        // family is `CheapEarly` and caps the ceiling at pr_f.
+        let (pfci, pr_f, ceiling, ledger) = evaluate_a(&screen_db(2f64.powi(-30)), 0.5);
+        assert!(pr_f > 0.7 && pr_f < 0.8, "{pr_f}");
+        assert_eq!(pfci.unwrap().fcp.to_bits(), pr_f.to_bits());
+        assert_eq!(ceiling, pr_f);
+        assert_eq!(ledger.kernel.families_screened, 1);
+        assert_eq!(ledger.stats.bound_decided, 1);
+        assert_eq!(ledger.timers.count(Phase::BoundEval), 0);
+    }
+
+    #[test]
+    fn a_family_whose_events_all_underflow_sets_no_ceiling() {
+        // b's tail is 2^-1020 and 2^-65 · 2^-1020 rounds to 0: the built
+        // family is empty. The screen cannot certify a positive event, so
+        // it builds, and the empty family leaves the ceiling alone.
+        let db = screen_db(2f64.powi(-34));
+        let (pfci, pr_f, ceiling, ledger) = evaluate_a(&db, 0.5);
+        assert_eq!(pfci.unwrap().fcp.to_bits(), pr_f.to_bits());
+        assert_eq!(ceiling, 1.0);
+        assert_eq!(ledger.kernel.families_screened, 0);
+        assert_eq!(ledger.stats.bound_decided, 1);
+        let a = [db.dictionary().get("a").unwrap()];
+        let tids = db.bitmap_of(a[0]);
+        let b_and_c = (1..db.num_items() as u32).map(Item);
+        let memo = TailMemo::new(&db, 30);
+        let mut scan = AbsenceScan::new(&db, tids, b_and_c.clone(), &memo);
+        assert_eq!(scan.mass_bound(), 2f64.powi(-65));
+        assert_eq!(scan.decides(&db, tids, pr_f), None);
+        assert!(NonClosureEvents::build(&db, tids, b_and_c, 30).is_empty());
+    }
+
+    #[test]
+    fn a_family_without_mass_is_screened_empty() {
+        // Without `b` only `c` extends `{a}`, and it fails the count
+        // screen: M = 0, screened as the empty family it is.
+        let mut rows = vec![("a", 0.5); 60];
+        rows.extend(vec![("a c", 0.5); 5]);
+        let db = UncertainDatabase::parse_symbolic(&rows);
+        let (pfci, pr_f, ceiling, ledger) = evaluate_a(&db, 0.4);
+        assert_eq!(pfci.unwrap().fcp.to_bits(), pr_f.to_bits());
+        assert_eq!(ceiling, 1.0);
+        assert_eq!(ledger.kernel.families_screened, 1);
+        assert_eq!(ledger.timers.count(Phase::BoundEval), 0);
+    }
+
+    #[test]
+    fn pr_f_at_or_below_pfct_is_not_screened() {
+        let (pfci, pr_f, ceiling, ledger) = evaluate_a(&screen_db(2f64.powi(-30)), 0.8);
+        assert!(pr_f <= 0.8);
+        assert!(pfci.is_none());
+        assert_eq!(ceiling, 1.0);
+        assert_eq!(ledger.kernel.families_screened, 0);
+        assert_eq!(ledger.stats.bound_rejected, 1);
+        assert_eq!(ledger.timers.count(Phase::BoundEval), 1);
     }
 
     #[test]

@@ -126,14 +126,11 @@ thread_local! {
 /// largest family the dense `2^m` loop accepted.
 pub const MAX_EXACT_TERMS: usize = 1 << 24;
 
-/// Scratch of [`event_for_item`], reused across the items of one build.
+/// Scratch of one family or table build, reused across its items.
 struct BuildScratch {
     /// `T(X∪e) = T(X) ∧ T(e)` of the current item, over the database's
     /// tids: the screen's popcount and the tail memo's key.
     xe_tids: TidBitmap,
-    /// Every position of `T(X)`: the mask's zero bits are its
-    /// difference with this.
-    all: TidBitmap,
     /// Existential probabilities at the current item's mask positions.
     mask_probs: Vec<f64>,
     /// Tail-DP row.
@@ -144,10 +141,9 @@ struct BuildScratch {
 }
 
 impl BuildScratch {
-    fn new(min_sup: usize, positions: usize) -> Self {
+    fn new(min_sup: usize, xe_tids: TidBitmap) -> Self {
         Self {
-            xe_tids: TidBitmap::new(0),
-            all: TidBitmap::full(positions),
+            xe_tids,
             mask_probs: Vec::new(),
             dp: vec![0.0; min_sup + 1],
             x_slot: MemoSlot::default(),
@@ -315,45 +311,64 @@ impl TailMemo {
     }
 }
 
-/// Shared event constructor: the mask / absence-factor / tail computation
-/// both [`NonClosureEvents::build`] and [`EventTable::build`] run per
-/// item. `probs` are the existential probabilities of `T(X)`,
-/// position-indexed. Returns `None` when `Pr(C_e) = 0`.
+/// The count screen and the absence factor of `item`'s event, the first
+/// half of the shared event constructor: `None` when `|T(X∪e)| <
+/// min_sup` (the tail is 0) or the factor is 0, so `Pr(C_e) = 0`.
+/// Leaves `T(X∪e)` in `xe_tids`.
 ///
-/// A word-level screen comes first: `|T(X) ∧ T(e)| < min_sup` makes the
-/// tail 0, so such items never reach the mask. The mask compacts
-/// `T(X) ∧ T(e)` into `T(X)`'s positions a word at a time, and the
-/// absence factor multiplies over its zero bits in ascending order, the
-/// multiplications of a per-position scan in the same order. The mask's
-/// probabilities are gathered only when the memo has no tail.
-fn event_for_item(
+/// The factor multiplies `1 − p_t` over `T(X) ∖ T(e)` in ascending tid
+/// order: the zero bits of the event's mask, in the order a per-position
+/// scan of `T(X)` visits them, so the same multiplications in the same
+/// order.
+fn absence_factor(
+    db: &UncertainDatabase,
+    x_tids: &TidBitmap,
+    item: Item,
+    min_sup: usize,
+    xe_tids: &mut TidBitmap,
+) -> Option<f64> {
+    let item_tids = db.bitmap_of(item);
+    x_tids.and_into(item_tids, xe_tids);
+    if xe_tids.count() < min_sup {
+        return None; // Pr{sup(X∪e) ≥ min_sup} = 0
+    }
+    let mut absent_factor = 1.0f64;
+    for tid in x_tids.diff_iter(item_tids) {
+        absent_factor *= 1.0 - db.probability(tid);
+        if absent_factor == 0.0 {
+            return None; // and stays 0: Pr(C_e) = 0
+        }
+    }
+    Some(absent_factor)
+}
+
+/// The second half of the shared event constructor, which both
+/// [`NonClosureEvents::build`] and [`EventTable::build`] run per item:
+/// the mask, the tail and `Pr(C_e) = absent_factor · tail`, for the
+/// `absent_factor` [`absence_factor`] returned with `scratch.xe_tids =
+/// T(X∪e)`. `probs` are the existential probabilities of `T(X)`,
+/// position-indexed. Returns `None` when `Pr(C_e)` rounds to 0.
+///
+/// The mask compacts `T(X) ∧ T(e)` into `T(X)`'s positions a word at a
+/// time. The mask's probabilities are gathered only when the memo has no
+/// tail.
+fn event_with_factor(
     db: &UncertainDatabase,
     x_tids: &TidBitmap,
     probs: &[f64],
     item: Item,
+    absent_factor: f64,
     scratch: &mut BuildScratch,
     memo: &mut TailMemo,
 ) -> Option<NcEvent> {
     let min_sup = memo.min_sup;
     let BuildScratch {
         xe_tids,
-        all,
         mask_probs,
         dp,
         x_slot,
     } = scratch;
-    x_tids.and_into(db.bitmap_of(item), xe_tids);
-    if xe_tids.count() < min_sup {
-        return None; // Pr{sup(X∪e) ≥ min_sup} = 0
-    }
     let mask = x_tids.positions_of(xe_tids);
-    let mut absent_factor = 1.0f64;
-    for pos in all.diff_iter(&mask) {
-        absent_factor *= 1.0 - probs[pos];
-    }
-    if absent_factor == 0.0 {
-        return None; // Pr(C_e) = 0
-    }
     let tail = memo.tail(db, x_tids, x_slot, item, xe_tids, || {
         mask_probs.clear();
         mask_probs.extend(mask.iter().map(|pos| probs[pos]));
@@ -364,6 +379,121 @@ fn event_for_item(
         return None;
     }
     Some(NcEvent { item, mask, prob })
+}
+
+/// The absence screen of one event family: every extension item that
+/// passes the count screen with a non-zero absence factor, that factor,
+/// and the factors' sum `M`. It runs no tail DP.
+///
+/// `M` bounds the family's total mass `S1`. Every tail is clamped to
+/// `[0, 1]`, so each event's `Pr(C_e) = fl(absent · tail)` is at most
+/// its absence factor, and an item whose event rounds to 0 is dropped,
+/// which adds 0 in place of a non-negative factor. Rounded addition is
+/// monotone, so `S1`, summed in event order, is at most `M`, summed over
+/// the same items in the same order. [`AbsenceScan::decides`] uses this
+/// to settle a family before any tail is computed;
+/// [`NonClosureEvents::from_scan`] builds the family from the kept
+/// items and factors otherwise.
+pub(crate) struct AbsenceScan {
+    /// `(e, Π_{t ∈ T(X)∖T(e)} (1 − p_t))` of every kept item, in item
+    /// order.
+    kept: Vec<(Item, f64)>,
+    /// `M`: the kept factors summed in item order.
+    mass_bound: f64,
+    /// Extension items examined (the family's `considered`).
+    considered: usize,
+    /// The count screen's threshold, at least 1 (the memo's).
+    min_sup: usize,
+    /// The last `T(X∪e)` computed; handed on to the build's scratch.
+    xe_tids: TidBitmap,
+}
+
+impl AbsenceScan {
+    /// Scan `extension_items` for the itemset with supporting tuples
+    /// `x_tids`, at the memo's `min_sup`.
+    pub(crate) fn new(
+        db: &UncertainDatabase,
+        x_tids: &TidBitmap,
+        extension_items: impl IntoIterator<Item = Item>,
+        memo: &TailMemo,
+    ) -> Self {
+        let min_sup = memo.min_sup;
+        let mut xe_tids = TidBitmap::new(0);
+        let mut kept = Vec::new();
+        let mut mass_bound = 0.0f64;
+        let mut considered = 0usize;
+        for item in extension_items {
+            considered += 1;
+            if let Some(factor) = absence_factor(db, x_tids, item, min_sup, &mut xe_tids) {
+                mass_bound += factor;
+                kept.push((item, factor));
+            }
+        }
+        Self {
+            kept,
+            mass_bound,
+            considered,
+            min_sup,
+            xe_tids,
+        }
+    }
+
+    /// `M`, the bound on the family's total mass.
+    #[cfg(test)]
+    pub(crate) fn mass_bound(&self) -> f64 {
+        self.mass_bound
+    }
+
+    /// The tier [`NonClosureEvents::fcp_bounds_explained`] would report
+    /// for the built family, if its sandwich against any threshold below
+    /// `pr_f` is `(pr_f, pr_f)` whatever the tails are; `None` when the
+    /// family must be built to tell.
+    ///
+    /// That holds when `M` is below a quarter of the gap between `pr_f`
+    /// and the next float below it. Then `max_single ≤ S1 ≤ M`, so both
+    /// `pr_f − S1` and `pr_f − max_single` lie within a quarter gap of
+    /// `pr_f` and round to it: the cheap sandwich is `(pr_f, pr_f)` and
+    /// decides early ([`BoundTier::CheapEarly`]). A family with no
+    /// positive event is [`BoundTier::EmptyFamily`] instead, which the
+    /// evaluator treats differently, so the screen decides only when it
+    /// can tell the two apart: no kept item at all is empty, a certified
+    /// positive event is `CheapEarly`, and anything else is built.
+    pub(crate) fn decides(
+        &mut self,
+        db: &UncertainDatabase,
+        x_tids: &TidBitmap,
+        pr_f: f64,
+    ) -> Option<BoundTier> {
+        // `pr_f = 0` has no positive float below it (and never reaches
+        // the screen, which runs only for `pr_f > pfct`).
+        let below = f64::from_bits(pr_f.to_bits().checked_sub(1)?);
+        if self.mass_bound >= 0.25 * (pr_f - below) {
+            return None;
+        }
+        if self.kept.is_empty() {
+            return Some(BoundTier::EmptyFamily);
+        }
+        self.certainly_positive(db, x_tids)
+            .then_some(BoundTier::CheapEarly)
+    }
+
+    /// Does the event of the largest kept factor `a` round to a positive
+    /// `Pr(C_e)`? The tail DP over `T(X∪e)`, ascending, reaches its
+    /// absorbing state with the rounded running product `L` of the first
+    /// `min_sup` probabilities, and that state only grows afterwards, so
+    /// the tail is at least `L` and `fl(a · L) > 0` proves `fl(a · tail)
+    /// > 0`.
+    fn certainly_positive(&mut self, db: &UncertainDatabase, x_tids: &TidBitmap) -> bool {
+        let Some(&(item, factor)) = self.kept.iter().max_by(|a, b| a.1.total_cmp(&b.1)) else {
+            return false;
+        };
+        x_tids.and_into(db.bitmap_of(item), &mut self.xe_tids);
+        let mut head = 1.0f64;
+        for tid in self.xe_tids.iter().take(self.min_sup) {
+            head *= db.probability(tid);
+        }
+        factor * head > 0.0
+    }
 }
 
 impl NonClosureEvents {
@@ -377,30 +507,33 @@ impl NonClosureEvents {
         extension_items: impl IntoIterator<Item = Item>,
         min_sup: usize,
     ) -> Self {
-        Self::build_memoized(db, x_tids, extension_items, &mut TailMemo::new(db, min_sup))
+        let mut memo = TailMemo::new(db, min_sup);
+        let scan = AbsenceScan::new(db, x_tids, extension_items, &memo);
+        Self::from_scan(db, x_tids, scan, &mut memo)
     }
 
-    /// [`NonClosureEvents::build`] at the memo's `min_sup`, taking each
-    /// tail from the run's [`TailMemo`] when an earlier build, or a fresh
-    /// DP row the miner offered, already computed it.
-    pub(crate) fn build_memoized(
+    /// The family of `scan`'s kept items at the memo's `min_sup`, taking
+    /// each tail from the run's [`TailMemo`] when an earlier build, or a
+    /// fresh DP row the miner offered, already computed it.
+    pub(crate) fn from_scan(
         db: &UncertainDatabase,
         x_tids: &TidBitmap,
-        extension_items: impl IntoIterator<Item = Item>,
+        scan: AbsenceScan,
         memo: &mut TailMemo,
     ) -> Self {
         let min_sup = memo.min_sup;
         let probs: Vec<f64> = x_tids.iter().map(|tid| db.probability(tid)).collect();
-        let mut scratch = BuildScratch::new(min_sup, probs.len());
+        let mut scratch = BuildScratch::new(min_sup, scan.xe_tids);
         let mut events = Vec::new();
-        let mut considered = 0usize;
-        for item in extension_items {
-            considered += 1;
-            if let Some(event) = event_for_item(db, x_tids, &probs, item, &mut scratch, memo) {
+        for (item, factor) in scan.kept {
+            x_tids.and_into(db.bitmap_of(item), &mut scratch.xe_tids);
+            if let Some(event) =
+                event_with_factor(db, x_tids, &probs, item, factor, &mut scratch, memo)
+            {
                 events.push(event);
             }
         }
-        Self::from_parts(probs, min_sup, events, considered)
+        Self::from_parts(probs, min_sup, events, scan.considered)
     }
 
     /// Assemble a family from already-built events (shared by
@@ -876,10 +1009,14 @@ impl EventTable {
     ) -> Self {
         let min_sup = memo.min_sup;
         let probs: Vec<f64> = tids.iter().map(|tid| db.probability(tid)).collect();
-        let mut scratch = BuildScratch::new(min_sup, probs.len());
+        let mut scratch = BuildScratch::new(min_sup, TidBitmap::new(0));
         let considered = db.num_items();
         let entries = (0..considered as u32)
-            .filter_map(|id| event_for_item(db, tids, &probs, Item(id), &mut scratch, memo))
+            .map(Item)
+            .filter_map(|item| {
+                let factor = absence_factor(db, tids, item, min_sup, &mut scratch.xe_tids)?;
+                event_with_factor(db, tids, &probs, item, factor, &mut scratch, memo)
+            })
             .collect();
         Self {
             tids: tids.clone(),
@@ -1448,6 +1585,49 @@ pub(crate) mod tests {
         assert_eq!(full_lattice().draw_work(), 40.0);
         let empty = NonClosureEvents::from_parts(vec![0.5; 3], 2, Vec::new(), 4);
         assert_eq!(empty.draw_work(), 0.0);
+    }
+
+    #[test]
+    fn screened_families_bound_to_pr_f_when_built() {
+        let db = dense_db();
+        let itemsets = small_itemsets(db.num_items() as u32);
+        for min_sup in [48, 96] {
+            let memo = TailMemo::new(&db, min_sup);
+            let (mut screened, mut frequent) = (0, 0);
+            for x in &itemsets {
+                let tids = db.tidset_of_itemset(x).into_bitmap();
+                if tids.count() < min_sup {
+                    continue;
+                }
+                frequent += 1;
+                let pr_f = pfim::frequent_probability(&db, x, min_sup);
+                let ext = (0..db.num_items() as u32)
+                    .map(Item)
+                    .filter(|i| !x.contains(i));
+                let mut scan = AbsenceScan::new(&db, &tids, ext, &memo);
+                let Some(tier) = scan.decides(&db, &tids, pr_f) else {
+                    continue;
+                };
+                screened += 1;
+                let family = family_for(&db, x, min_sup);
+                let what = format!("X={x:?} min_sup={min_sup}");
+                assert!(family.total_mass() <= scan.mass_bound(), "{what}");
+                // Against any threshold below pr_f: the least one and the
+                // largest one.
+                for pfct in [0.0, f64::from_bits(pr_f.to_bits() - 1)] {
+                    let (lo, hi, built) = family.fcp_bounds_explained(pr_f, 16, Some(pfct));
+                    assert_eq!(
+                        (lo.to_bits(), hi.to_bits(), built),
+                        (pr_f.to_bits(), pr_f.to_bits(), tier),
+                        "{what} pfct={pfct}"
+                    );
+                }
+            }
+            assert!(
+                screened >= 10,
+                "min_sup={min_sup}: {screened} of {frequent} screened"
+            );
+        }
     }
 
     #[test]

@@ -837,9 +837,16 @@ mod tests {
         // snapshot run projects tables from the shared cache (at capacity
         // 0 it stores none). Neither may move a single bit of output — the
         // invariant the concurrent service relies on. The dense base is
-        // where the memo serves most tails.
+        // where the memo serves most tails, and where the absence screen
+        // decides families before either path builds them (most of all
+        // at 96).
         let dense = crate::events::tests::dense_db();
-        let cases = [(&table4(), 2, 0.6), (&dense, 48, 0.8), (&dense, 64, 0.8)];
+        let cases = [
+            (&table4(), 2, 0.6),
+            (&dense, 48, 0.8),
+            (&dense, 64, 0.8),
+            (&dense, 96, 0.8),
+        ];
         for (db, min_sup, pfct) in cases {
             for threads in [1, 2, 4] {
                 let cfg = MinerConfig::new(min_sup, pfct)
@@ -850,12 +857,14 @@ mod tests {
                 assert!(!private.results.is_empty(), "{what}");
                 let k = &private.kernel;
                 assert_eq!((k.bound_cache_hits, k.bound_cache_misses), (0, 0));
+                assert!(k.families_screened > 0, "{what}");
                 for capacity in [0, 1024] {
                     let shared = Arc::new(SharedEventCache::new(capacity));
                     for _ in 0..2 {
                         let out = run_dfs(db, &cfg, &mut NullSink, Some(Arc::clone(&shared)));
                         assert_eq!(out.stats, private.stats, "{what}");
                         assert_eq!(out.carve_ceiling, private.carve_ceiling, "{what}");
+                        assert_eq!(out.kernel.families_screened, k.families_screened, "{what}");
                         assert_eq!(out.results.len(), private.results.len(), "{what}");
                         for (a, b) in out.results.iter().zip(&private.results) {
                             assert_eq!(a.items, b.items, "{what}");

@@ -118,6 +118,11 @@ pub struct KernelStats {
     pub bound_cache_hits: u64,
     /// Evaluator bound-input cache misses (tables built).
     pub bound_cache_misses: u64,
+    /// Event families the absence screen decided without building them:
+    /// every event's absence factor summed stays within a quarter float
+    /// gap of `Pr_F`, so the bounds were `(Pr_F, Pr_F)` whatever the
+    /// tails.
+    pub families_screened: u64,
     /// 64-bit words streamed through the tid-bitmap kernels on the
     /// miner's hot paths (intersections, difference scans).
     pub bitmap_words: u64,
@@ -131,12 +136,13 @@ impl KernelStats {
 
     /// The `(name, value)` pairs in stable order — the single source for
     /// the metrics snapshot and the benchmark report schema.
-    pub fn named(&self) -> [(&'static str, u64); 5] {
+    pub fn named(&self) -> [(&'static str, u64); 6] {
         [
             ("dp_incremental", self.dp_incremental),
             ("dp_recomputed", self.dp_recomputed),
             ("bound_cache_hits", self.bound_cache_hits),
             ("bound_cache_misses", self.bound_cache_misses),
+            ("families_screened", self.families_screened),
             ("bitmap_words", self.bitmap_words),
         ]
     }
@@ -146,11 +152,12 @@ impl fmt::Display for KernelStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "dp_inc={} dp_full={} cache_hit={} cache_miss={} words={}",
+            "dp_inc={} dp_full={} cache_hit={} cache_miss={} screened={} words={}",
             self.dp_incremental,
             self.dp_recomputed,
             self.bound_cache_hits,
             self.bound_cache_misses,
+            self.families_screened,
             self.bitmap_words,
         )
     }
@@ -390,6 +397,7 @@ impl RunLedger {
         let (k, o) = (&mut self.kernel, &other.kernel);
         k.bound_cache_hits += o.bound_cache_hits;
         k.bound_cache_misses += o.bound_cache_misses;
+        k.families_screened += o.families_screened;
         k.bitmap_words += o.bitmap_words;
         self.timers.absorb(&other.timers);
         self.results_emitted += other.results_emitted;

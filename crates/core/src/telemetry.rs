@@ -529,6 +529,7 @@ pub struct TelemetryState {
     bound_cache_hits: AtomicU64,
     bound_cache_misses: AtomicU64,
     bitmap_words: AtomicU64,
+    families_screened: AtomicU64,
     algo: Mutex<String>,
     pool: Arc<PoolGauges>,
 }
@@ -557,6 +558,7 @@ impl TelemetryState {
             bound_cache_hits: AtomicU64::new(0),
             bound_cache_misses: AtomicU64::new(0),
             bitmap_words: AtomicU64::new(0),
+            families_screened: AtomicU64::new(0),
             algo: Mutex::new(String::new()),
             pool: Arc::new(PoolGauges::new()),
         }
@@ -667,6 +669,12 @@ impl TelemetryState {
             reg.add("bound_cache_hits", hits);
             reg.add("bound_cache_misses", misses);
             reg.add("bitmap_words", self.bitmap_words.load(Ordering::Relaxed));
+        }
+        // Most families a dense batch run decides are screened, with no
+        // cache lookup: shown from the first finished run on.
+        if self.runs_finished.load(Ordering::Relaxed) > 0 {
+            let screened = self.families_screened.load(Ordering::Relaxed);
+            reg.add("families_screened", screened);
         }
         for (w, g) in self.pool.snapshot().per_worker.iter().enumerate() {
             reg.set_gauge(&format!("pool_worker{w}_tasks"), g.tasks as f64);
@@ -834,6 +842,9 @@ impl MinerSink for TelemetrySink {
         self.state
             .bitmap_words
             .store(outcome.kernel.bitmap_words, Ordering::Relaxed);
+        self.state
+            .families_screened
+            .store(outcome.kernel.families_screened, Ordering::Relaxed);
         self.state.finished.store(true, Ordering::Relaxed);
         self.state.runs_finished.fetch_add(1, Ordering::Relaxed);
         self.state.touch_progress();
@@ -1300,6 +1311,7 @@ mod tests {
         lint_prometheus(&text).unwrap();
         assert!(text.contains("pfcim_nodes_visited"));
         assert!(text.contains("pfcim_bound_cache_hit_rate"));
+        assert!(text.contains("pfcim_families_screened "));
         let health = telemetry.healthz_json();
         assert!(health.contains("\"status\":\"finished\""));
         assert!(health.contains("\"eta_s\":0"));

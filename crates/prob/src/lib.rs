@@ -23,7 +23,6 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod approximations;
 pub mod cond_sample;
 pub mod dnf;
 pub mod gauss;
@@ -32,9 +31,6 @@ pub mod inclusion_exclusion;
 pub mod poisson_binomial;
 pub mod union_bounds;
 
-pub use approximations::{
-    le_cam_bound, tail_normal, tail_poisson, tail_refined_normal, PoissonBinomialMoments,
-};
 pub use cond_sample::ConditionalBernoulliSampler;
 pub use dnf::{
     karp_luby_union, karp_luby_union_adaptive, karp_luby_union_with_samples, AdaptiveEstimate,

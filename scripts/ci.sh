@@ -87,6 +87,9 @@ run test -s "$densedir/default10.out"
 run diff "$densedir/default.out" "$densedir/threads2.out"
 run diff "$densedir/default10.out" "$densedir/threads210.out"
 run grep -Eq '^# dp audit: inc=[1-9]' "$densedir/default10.err"
+# Most dense families are decided by their absence mass before any tail
+# DP runs; the kernel line counts them.
+run grep -Eq '^# kernel: .* screened=[1-9]' "$densedir/default10.err"
 
 # Sparse byte-diff smoke: at min_sup 3 the smoke set's families are wide
 # but their support lattices are small, so the default planner evaluates

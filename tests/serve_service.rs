@@ -15,7 +15,8 @@
 //! * The snapshot's shared bound-input cache reconciles exactly with
 //!   the per-query [`KernelStats`] counters every response carries: the
 //!   cache's global hit/miss totals are the sum of the per-query
-//!   `bound_cache_hits`/`bound_cache_misses`.
+//!   `bound_cache_hits`/`bound_cache_misses`. Every family a query
+//!   checks is either screened (`families_screened`) or looked up.
 //!
 //! Worker counts come from `PFCIM_TEST_THREADS` (comma-separated, as in
 //! `scripts/ci.sh`), defaulting to `1,2,4,7`.
@@ -185,8 +186,26 @@ fn snapshot_cache_counters_reconcile_with_per_query_kernel_stats() {
         let body = format!("{{\"snapshot\":\"t4\",\"min_sup\":2,\"pfct\":0.5,\"seed\":{seed}}}");
         let resp = query_once(&addr, &body, TIMEOUT).expect("query");
         assert!(resp.contains("\"status\":\"ok\""), "{resp}");
-        hits += int_field(&resp, "bound_cache_hits");
-        misses += int_field(&resp, "bound_cache_misses");
+        let (h, m) = (
+            int_field(&resp, "bound_cache_hits"),
+            int_field(&resp, "bound_cache_misses"),
+        );
+        let checked: u64 = [
+            "bound_rejected",
+            "bound_decided",
+            "fcp_exact",
+            "fcp_sampled",
+        ]
+        .iter()
+        .map(|key| int_field(&resp, key))
+        .sum();
+        assert_eq!(
+            int_field(&resp, "families_screened") + h + m,
+            checked,
+            "{resp}"
+        );
+        hits += h;
+        misses += m;
     }
     server.shutdown();
 
